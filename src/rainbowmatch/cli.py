@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None,
                        help="global seed (default: $RAINBOW_SEED or 0)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker cap; results are order-canonical either way")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     g = sub.add_parser("generate", help="write a seeded instance file")

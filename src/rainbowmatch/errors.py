@@ -25,6 +25,10 @@ class ParameterViolation(RainbowError):
     """Generator parameters outside their admissible range."""
 
 
+class InvalidInstance(RainbowError):
+    """An instance file is not a well-formed instance document."""
+
+
 class CompletionFailed(RainbowError):
     """Greedy completion could not place a colour inside the sample."""
 

@@ -77,23 +77,61 @@ def _latin_shuffle(square: list[list[int]], n: int, rng: random.Random,
     Picking two rows and swapping their entries along one cycle of the
     two-row symbol permutation preserves the Latin property.  Not a uniform
     sampler, but reachable squares are well mixed after ~10*n^3 steps.
+    Per-row inverse arrays make each step cost the length of its cycle.
     """
     if n < 2:
         return
+    # inv[r][sym] is the column of sym in row r
+    inv = [[0] * n for _ in range(n)]
+    for row, inv_row in zip(square, inv):
+        for col, sym in enumerate(row):
+            inv_row[sym] = col
+    # The draws reproduce, bit for bit, what CPython's
+    # rng.sample(range(n), 2) and rng.randrange(n) take from the stream, so
+    # every (n, seed) gives the square those calls would give: randbelow(m)
+    # draws m.bit_length() bits and rejects values >= m; sample picks from a
+    # pool for n <= 21 (randbelow(n), then randbelow(n - 1) with the first
+    # pick's slot refilled by n - 1) and redraws on a repeat for larger n.
+    # The squares thus depend only on the Mersenne Twister bit stream, not
+    # on how a Python release implements sample or randrange.
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    k_pool = (n - 1).bit_length()
+    pool = n <= 21
     for _ in range(steps):
-        r1, r2 = rng.sample(range(n), 2)
-        start = rng.randrange(n)
-        # follow the cycle of columns alternating between the two rows
+        r1 = getrandbits(k)
+        while r1 >= n:
+            r1 = getrandbits(k)
+        if pool:
+            r2 = getrandbits(k_pool)
+            while r2 >= n - 1:
+                r2 = getrandbits(k_pool)
+            if r2 == r1:
+                r2 = n - 1
+        else:
+            r2 = getrandbits(k)
+            while r2 >= n or r2 == r1:
+                r2 = getrandbits(k)
+        start = getrandbits(k)
+        while start >= n:
+            start = getrandbits(k)
+        # walk the cycle of columns alternating between the two rows,
+        # swapping as it goes; each symbol's inverse entry is read before
+        # it is overwritten
+        row1, row2 = square[r1], square[r2]
+        inv1, inv2 = inv[r1], inv[r2]
         col = start
-        cycle = []
         while True:
-            cycle.append(col)
-            sym = square[r2][col]
-            col = square[r1].index(sym)
+            a = row1[col]
+            b = row2[col]
+            row1[col] = b
+            row2[col] = a
+            inv2[a] = col
+            nxt = inv1[b]
+            inv1[b] = col
+            col = nxt
             if col == start:
                 break
-        for col in cycle:
-            square[r1][col], square[r2][col] = square[r2][col], square[r1][col]
 
 
 def gen_latin(n: int, mode: str = "cayley", seed: int = 0) -> ColoredMultigraph:
@@ -307,21 +345,15 @@ def gen_two_factorized(d: int, mode: str, extra_vertices: int = 0,
         for off in range(1, d + 1):
             if off % n_vertices == 0 or 2 * off % n_vertices == 0:
                 raise ParameterViolation(f"degenerate offset {off} on Z_{n_vertices}")
+        # n_vertices > 2 * off, so each offset's walk meets every one of its
+        # edges exactly once and needs no deduplication
         edges = []
         for c in range(d):
             off = c + 1
             for vtx in range(n_vertices):
-                edges.append((vtx, (vtx + off) % n_vertices, c))
-        # each edge was produced once per direction start; dedupe by keeping v < w walks
-        edges = [(u, w, c) for (u, w, c) in edges]
-        dedup = []
-        seen = set()
-        for u, w, c in edges:
-            key = (_pair(u, w), c)
-            if key not in seen:
-                seen.add(key)
-                dedup.append((_pair(u, w)[0], _pair(u, w)[1], c))
-        return ColoredMultigraph(n_vertices, d, dedup)
+                a, b = _pair(vtx, (vtx + off) % n_vertices)
+                edges.append((a, b, c))
+        return ColoredMultigraph(n_vertices, d, edges)
     if mode == "symmetric_latin":
         n = d + 1
         square = _round_robin_square(n)

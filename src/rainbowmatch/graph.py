@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import NotCliqueUnion
+from .errors import InvalidInstance, NotCliqueUnion
 
 
 class ColorClassKind(Enum):
@@ -131,12 +131,22 @@ def save_instance(graph: ColoredMultigraph, path: str,
 def load_instance(path: str) -> tuple[ColoredMultigraph, ColorClassKind]:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    graph = ColoredMultigraph(
-        n_vertices=doc["n_vertices"],
-        n_colors=doc["n_colors"],
-        edges=[tuple(e) for e in doc["edges"]],
-        sides=doc.get("sides"),
-    )
+    if not isinstance(doc, dict):
+        raise InvalidInstance(
+            f"{path}: expected a JSON object, got {type(doc).__name__}")
+    # malformed fields surface as the errors the constructor raises on them,
+    # so a large file is not walked twice to validate it
+    try:
+        graph = ColoredMultigraph(
+            n_vertices=doc["n_vertices"],
+            n_colors=doc["n_colors"],
+            edges=[tuple(e) for e in doc["edges"]],
+            sides=doc.get("sides"),
+        )
+    except KeyError as exc:
+        raise InvalidInstance(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise InvalidInstance(f"{path}: malformed instance: {exc}") from exc
     return graph, ColorClassKind(doc.get("kind", "arbitrary"))
 
 

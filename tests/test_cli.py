@@ -43,6 +43,20 @@ def test_solve_missing_file_exits_2(capsys):
     assert "missing.json" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"n_vertices": 2, "kind": "matching", "edges": [[0, 1, 0]]},
+    [[0, 1, 0]],
+    {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1.5, 0]]},
+], ids=["missing_n_colors", "top_level_list", "non_integer_edge"])
+def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    code, out, err = run(["solve", "--solver", "exact", str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.json" in err
+
+
 def test_solve_report_schema(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     run(["generate", "--family", "latin_cayley", "--n", "6", "--seed", "3",

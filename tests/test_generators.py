@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from rainbowmatch.errors import ParameterViolation
@@ -29,6 +32,22 @@ def test_latin_is_bipartite_tagged():
 
 def test_latin_random_differs_from_cayley():
     assert gen_latin(6, "random", 3).edges != gen_latin(6, "cayley", 3).edges
+
+
+# SHA-256 of the compact JSON edge list, pinned so that no change to the
+# shuffle alters an instance; (20, 9) and (22, 4) sit on either side of the
+# n <= 21 boundary where the row-pair draws change method
+@pytest.mark.parametrize("n,seed,digest", [
+    (2, 0, "9f79928f566e974b09044487a43aeb4982c110613a85ae7ebb36b0b20981a992"),
+    (7, 1, "c97261257410faa1f8a4320d6beb91d699ed4eabd6f35a430810b5a0b82a95a6"),
+    (20, 9, "b9355dafa949807031d33e6138e5bb1ba50dbd599853ec174bb6e929de8abbbc"),
+    (22, 4, "c1b88548b22f609025d766aaf437ed41b51b545e6227e0bcaf8b5cc51db378ef"),
+    (32, 12345, "3e1b36ed76ae9009c38c95c80856223c9ea69a46a8c7967214cb0f1a68dac76d"),
+])
+def test_latin_random_instances_are_pinned(n, seed, digest):
+    edges = gen_latin(n, "random", seed).edges
+    text = json.dumps(edges, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_ab_counts_and_validation():
