@@ -342,11 +342,8 @@ def gen_two_factorized(d: int, mode: str, extra_vertices: int = 0,
         n_vertices = 2 * d + 1 + extra_vertices
         if n_vertices < 2 * d + 1:
             raise ParameterViolation("need at least 2d+1 vertices")
-        for off in range(1, d + 1):
-            if off % n_vertices == 0 or 2 * off % n_vertices == 0:
-                raise ParameterViolation(f"degenerate offset {off} on Z_{n_vertices}")
-        # n_vertices > 2 * off, so each offset's walk meets every one of its
-        # edges exactly once and needs no deduplication
+        # n_vertices > 2 * off, so no offset is degenerate and each offset's
+        # walk meets every one of its edges exactly once
         edges = []
         for c in range(d):
             off = c + 1

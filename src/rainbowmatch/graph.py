@@ -145,9 +145,13 @@ def load_instance(path: str) -> tuple[ColoredMultigraph, ColorClassKind]:
         )
     except KeyError as exc:
         raise InvalidInstance(f"{path}: missing key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidInstance(f"{path}: malformed instance: {exc}") from exc
-    return graph, ColorClassKind(doc.get("kind", "arbitrary"))
+    try:
+        kind = ColorClassKind(doc.get("kind", "arbitrary"))
+    except ValueError as exc:
+        raise InvalidInstance(f"{path}: unknown kind: {exc}") from exc
+    return graph, kind
 
 
 @dataclass

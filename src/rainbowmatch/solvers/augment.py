@@ -5,12 +5,20 @@ non-matching edges take distinct colors from the free colors plus the colors
 released by the matching edges removed along the path.  Vertex pairs repeated
 in many colors are traversed as wildcards; their concrete colors are assigned
 only when a path is applied.
+
+The node budget counts search-tree expansions: one per entry into the
+depth-first search, whatever work that node then does.  The per-vertex
+neighbour cache (_Augmenter._neighbours) only makes a node cheaper; it leaves
+the expanded nodes and their order unchanged, so a given budget explores the
+same tree and returns the same matching as a search that regroups x's edges
+at every node.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
@@ -113,6 +121,8 @@ class _Augmenter:
             self.match_at[u] = eid
             self.match_at[v] = eid
             self.edge_color[eid] = c
+        # per-vertex neighbour split, see _neighbours
+        self._split: dict[int, tuple[list, list]] = {}
 
     # -- matching view -----------------------------------------------------
 
@@ -140,21 +150,40 @@ class _Augmenter:
 
     # -- path search -------------------------------------------------------
 
-    def _gain_options(self, x: int, y_filter: set[int], allowed: set[int]
-                      ) -> dict[int, list[tuple[int, int]]]:
-        """Usable (color, edge id) lists from x, grouped by neighbour."""
-        out: dict[int, list[tuple[int, int]]] = {}
+    def _neighbours(self, x: int) -> tuple[list, list]:
+        """x's neighbours as (free, matched), each ordered by vertex id.
+
+        Entries are (y, options) and (y, options, matching edge id, partner z,
+        matching color); options are x's (color, edge id) pairs to y sorted
+        by color, ties in incident order.  The split depends only on the
+        matching, so improve_once drops the cache before it searches.
+        """
+        split = self._split.get(x)
+        if split is not None:
+            return split
+        edges = self.graph.edges
+        by_y: dict[int, list[tuple[int, int]]] = {}
         for eid in self.graph.incident[x]:
-            u, v, c = self.graph.edges[eid]
-            y = v if u == x else u
-            if y in y_filter or c not in allowed:
-                continue
-            out.setdefault(y, []).append((c, eid))
-        return out
+            u, v, c = edges[eid]
+            by_y.setdefault(v if u == x else u, []).append((c, eid))
+        free: list = []
+        matched: list = []
+        for y in sorted(by_y):
+            opts = sorted(by_y[y], key=itemgetter(0))
+            meid = self.match_at.get(y)
+            if meid is None:
+                free.append((y, opts))
+            else:
+                mu, mv, _ = edges[meid]
+                matched.append((y, opts, meid, mv if mu == y else mu,
+                                self.edge_color[meid]))
+        split = self._split[x] = (free, matched)
+        return split
 
     def _search_from(self, v0: int, depth: int, budget: _Budget
                      ) -> Optional[tuple[list[_Gain], list[int]]]:
         c0 = self.free_colors()
+        heavy = self.cfg.heavy_threshold
         gains: list[_Gain] = []
         removed: list[int] = []  # matching edge ids along the path
         freed: set[int] = set()
@@ -164,30 +193,32 @@ class _Augmenter:
         def dfs(x: int, length: int) -> bool:
             if not budget.spend():
                 return False
-            allowed = (c0 | freed) - committed
-            if not allowed:
-                return False
-            options = self._gain_options(x, on_path, allowed)
+            free, matched = self._neighbours(x)
+            allowed = None
             # terminal steps first: free neighbours close the path
-            order = sorted(options, key=lambda y: (y in self.match_at, y))
-            for y in order:
-                opts = sorted(options[y], key=lambda ce: ce[0])
-                if y not in self.match_at:
-                    gains.append(_Gain(x, y, opts, len(opts) >= self.cfg.heavy_threshold))
-                    assignment = _assign_colors(gains, freed, c0)
-                    if assignment is not None:
-                        return True
-                    gains.pop()
+            for y, opts in free:
+                if y in on_path:
                     continue
-                if length + 2 > depth:
+                if allowed is None:
+                    allowed = (c0 | freed) - committed
+                opts = [ce for ce in opts if ce[0] in allowed]
+                if not opts:
                     continue
-                meid = self.match_at[y]
-                mu, mv, _ = self.graph.edges[meid]
-                z = mv if mu == y else mu
-                if z in on_path:
+                gains.append(_Gain(x, y, opts, len(opts) >= heavy))
+                if _assign_colors(gains, freed, c0) is not None:
+                    return True
+                gains.pop()
+            if length + 2 > depth:
+                return False
+            if allowed is None:
+                allowed = (c0 | freed) - committed
+            for y, opts, meid, z, mcolor in matched:
+                if y in on_path or z in on_path:
                     continue
-                mcolor = self.edge_color[meid]
-                wildcard = len(opts) >= self.cfg.heavy_threshold
+                opts = [ce for ce in opts if ce[0] in allowed]
+                if not opts:
+                    continue
+                wildcard = len(opts) >= heavy
                 for c, eid in (opts if not wildcard else [opts[0]]):
                     gains.append(_Gain(x, y, opts if wildcard else [(c, eid)], wildcard))
                     if not wildcard:
@@ -216,7 +247,8 @@ class _Augmenter:
         c0 = self.free_colors()
         freed = {self.edge_color[meid] for meid in removed}
         assignment = _assign_colors(gains, freed, c0)
-        assert assignment is not None, "path was validated before application"
+        if assignment is None:
+            raise RuntimeError("path was validated before application")
         for meid in removed:
             u, v, _ = self.graph.edges[meid]
             del self.match_at[u]
@@ -236,6 +268,7 @@ class _Augmenter:
             self.edge_color[eid] = c
 
     def improve_once(self, budget: _Budget) -> bool:
+        self._split.clear()  # the matching changed since the last search
         free_vertices = [v for v in range(self.graph.n_vertices)
                          if v not in self.match_at]
         self.rng.shuffle(free_vertices)

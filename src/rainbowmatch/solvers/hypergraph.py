@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..errors import NotTwoFactorized
 from ..graph import ColoredMultigraph
 
 
@@ -34,7 +35,7 @@ def build_aux_hypergraph(graph: ColoredMultigraph,
     """One hyperedge per colored edge with both endpoints in rest.
 
     For 2-factor color classes any two elements lie in at most two common
-    hyperedges; that co-degree bound is asserted here.
+    hyperedges; NotTwoFactorized is raised when that co-degree bound fails.
     """
     keep = set(rest)
     hyperedges = [(u, v, c) for (u, v, c) in graph.edges if u in keep and v in keep]
@@ -43,7 +44,8 @@ def build_aux_hypergraph(graph: ColoredMultigraph,
         lo, hi = (x, y) if x < y else (y, x)
         for pair in (("vv", lo, hi), ("vc", x, c), ("vc", y, c)):
             co[pair] = co.get(pair, 0) + 1
-    assert all(k <= 2 for k in co.values()), "co-degree exceeds 2; not 2-factorized?"
+    if any(k > 2 for k in co.values()):
+        raise NotTwoFactorized("co-degree exceeds 2; not 2-factorized?")
     return AuxHypergraph(hyperedges=hyperedges)
 
 

@@ -4,7 +4,7 @@ then greedily place the missing colors inside it."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..graph import (ColoredMultigraph, RainbowMatching,
@@ -69,10 +69,7 @@ def _one_attempt(graph: ColoredMultigraph, cfg: SamplingConfig, seed: int,
     exhausted = False
     if cfg.weak_solver == "greedy+augment":
         before = len(weak)
-        aug_cfg = AugmentConfig(max_depth=cfg.augment.max_depth,
-                                heavy_threshold=cfg.augment.heavy_threshold,
-                                node_budget=cfg.augment.node_budget,
-                                seed=derive_seed(seed, "augment"))
+        aug_cfg = replace(cfg.augment, seed=derive_seed(seed, "augment"))
         weak, exhausted = augment_flagged(rest_graph, weak, aug_cfg)
         log.append(("weak_augment", before, len(weak)))
 
@@ -86,10 +83,7 @@ def _one_attempt(graph: ColoredMultigraph, cfg: SamplingConfig, seed: int,
 
     if stuck is not None and cfg.repair:
         before = len(combined)
-        aug_cfg = AugmentConfig(max_depth=cfg.augment.max_depth,
-                                heavy_threshold=cfg.augment.heavy_threshold,
-                                node_budget=cfg.augment.node_budget,
-                                seed=derive_seed(seed, "repair"))
+        aug_cfg = replace(cfg.augment, seed=derive_seed(seed, "repair"))
         combined, rex = augment_flagged(graph, combined, aug_cfg)
         exhausted = exhausted or rex
         log.append(("repair_augment", before, len(combined)))

@@ -1,9 +1,20 @@
+import hashlib
+import importlib
+import json
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
-from rainbowmatch.graph import RainbowMatching, is_rainbow_matching
-from rainbowmatch.solvers import AugmentConfig, augment, greedy_maximal
+from rainbowmatch.graph import ColoredMultigraph, RainbowMatching, is_rainbow_matching
+from rainbowmatch.solvers import (AugmentConfig, SamplingConfig, augment,
+                                  greedy_maximal, sampling_solve)
+from rainbowmatch.solvers.augment import augment_flagged
+
+# the package re-exports the augment() function under the submodule's name
+augment_module = importlib.import_module("rainbowmatch.solvers.augment")
 
 
 def test_augment_from_empty_is_valid():
@@ -52,3 +63,82 @@ def test_budget_exhaustion_returns_current_matching():
     assert len(out) >= len(start)
     ok, _ = is_rainbow_matching(g, out)
     assert ok
+
+
+def _digest(pairs, exhausted) -> str:
+    return hashlib.sha256(json.dumps([sorted(pairs), exhausted]).encode()).hexdigest()
+
+
+def _heavy_multigraph(seed: int, n_vertices: int, n_colors: int,
+                      n_pairs: int) -> ColoredMultigraph:
+    """Random vertex pairs, each repeated in a random number of colours."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(n_pairs):
+        u, v = rng.sample(range(n_vertices), 2)
+        k = rng.randint(1, n_colors)
+        edges += [(u, v, c) for c in rng.sample(range(n_colors), k)]
+    return ColoredMultigraph(n_vertices, n_colors, edges)
+
+
+# (sorted pairs, exhausted) digests; each instance is pinned at the last
+# budget that runs out and the first that does not, so one search-tree node
+# more or fewer per budget changes a digest
+_AB20_EXHAUSTED = "ec79cf208b71cd9556fab00f2dd7a47425d788caa4593f735f5ab6042976fa36"
+_HEAVY0_EXHAUSTED = "59a3903cc7224548df69cfd8d67a2e24caf56d00208c548919670fdfefd363df"
+
+
+@pytest.mark.parametrize("budget, digest", [
+    (5, _AB20_EXHAUSTED),
+    (92, _AB20_EXHAUSTED),
+    (93, "62ac140d3da97ef1a529faf5fcaaeadbcf75767923482614ebd46376d8907221"),
+], ids=["5", "92", "93"])
+def test_budget_exhaustion_is_pinned(budget, digest):
+    g = gen_ab(20, 0, False, 3)
+    out, exhausted = augment_flagged(g, greedy_maximal(g, "input", 0),
+                                     AugmentConfig(node_budget=budget, seed=0))
+    assert _digest(out.pairs, exhausted) == digest
+
+
+@pytest.mark.parametrize("instance, budget, digest", [
+    ((0, 14, 16, 30), 50, _HEAVY0_EXHAUSTED),
+    ((0, 14, 16, 30), 2265, _HEAVY0_EXHAUSTED),
+    ((0, 14, 16, 30), 2266,
+     "447d60edcb19bfb718655a8bde3c59644b4e66d98513e4cae74996b00443340e"),
+    ((2, 20, 16, 40), 15144,
+     "b3ed1a4ecc080302c42f0ef35f5b1ec91ead0bc48af8997f9b308e419b88f55e"),
+    ((2, 20, 16, 40), 15145,
+     "104378044d115e9f44c4ddd32f317b28b762ccbbbc3720269b5f337ed4cdad7d"),
+    # a path that depends on which free neighbour is tried first
+    ((2, 14, 16, 30), 50_000,
+     "c3b7bbe5453ccd3e5d82d7778e71e02ea592b154d263ef3dd062bae6e0b8e959"),
+], ids=["seed0-50", "seed0-2265", "seed0-2266", "seed2-15144", "seed2-15145",
+        "seed2-small"])
+def test_heavy_pair_search_is_pinned(instance, budget, digest):
+    g = _heavy_multigraph(*instance)
+    out, exhausted = augment_flagged(g, RainbowMatching(),
+                                     AugmentConfig(node_budget=budget, seed=instance[0]))
+    assert _digest(out.pairs, exhausted) == digest
+    ok, why = is_rainbow_matching(g, out)
+    assert ok, why
+
+
+def test_heavy_pairs_take_the_wildcard_branch(monkeypatch):
+    wildcards = []
+    gain = augment_module._Gain
+
+    def counting_gain(x, y, options, wildcard):
+        wildcards.append(wildcard)
+        return gain(x, y, options, wildcard)
+
+    monkeypatch.setattr(augment_module, "_Gain", counting_gain)
+    g = _heavy_multigraph(0, 14, 16, 30)
+    augment_flagged(g, RainbowMatching(), AugmentConfig(node_budget=2266, seed=0))
+    assert sum(wildcards) > 0
+
+
+def test_sampling_solve_on_ab_bipartite_is_pinned():
+    report = sampling_solve(gen_ab(64, 0, True, 0), SamplingConfig(seed=0))
+    assert report.budget_exhausted
+    assert (_digest(report.matching.pairs, report.budget_exhausted)
+            == "30931a2a5f66239460036cf540580becf0c91bc6b6e2091b48bacd71ceb28040")

@@ -47,7 +47,10 @@ def test_solve_missing_file_exits_2(capsys):
     {"n_vertices": 2, "kind": "matching", "edges": [[0, 1, 0]]},
     [[0, 1, 0]],
     {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1.5, 0]]},
-], ids=["missing_n_colors", "top_level_list", "non_integer_edge"])
+    {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1]]},
+    {"n_vertices": 2, "n_colors": 1, "kind": "bogus", "edges": [[0, 1, 0]]},
+], ids=["missing_n_colors", "top_level_list", "non_integer_edge",
+        "short_edge", "unknown_kind"])
 def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc):
     inst = tmp_path / "bad.json"
     inst.write_text(json.dumps(doc))

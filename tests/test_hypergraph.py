@@ -1,6 +1,8 @@
 import pytest
 
+from rainbowmatch.errors import NotTwoFactorized
 from rainbowmatch.generators import gen_two_factorized
+from rainbowmatch.graph import ColoredMultigraph
 from rainbowmatch.solvers import AuxHypergraph, build_aux_hypergraph, nibble_match
 
 
@@ -22,6 +24,13 @@ def test_circulant_hyperedge_count():
     h = build_aux_hypergraph(g, rest=range(g.n_vertices))
     # each 2-factor contributes n_vertices edges
     assert len(h.hyperedges) == 3 * g.n_vertices
+
+
+def test_co_degree_above_two_raises():
+    # three parallel edges put one vertex pair in three hyperedges
+    g = ColoredMultigraph(2, 3, [(0, 1, 0), (0, 1, 1), (0, 1, 2)])
+    with pytest.raises(NotTwoFactorized):
+        build_aux_hypergraph(g, rest=range(2))
 
 
 def test_round_fraction_validated():
