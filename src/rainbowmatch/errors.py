@@ -29,14 +29,6 @@ class InvalidInstance(RainbowError):
     """An instance file is not a well-formed instance document."""
 
 
-class CompletionFailed(RainbowError):
-    """Greedy completion could not place a colour inside the sample."""
-
-    def __init__(self, color: int):
-        super().__init__(f"no disjoint edge available for color {color}")
-        self.color = color
-
-
 class HypothesisViolated(RainbowError):
     """The instance does not satisfy the preconditions of the matching expander."""
 

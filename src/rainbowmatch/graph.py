@@ -90,10 +90,6 @@ class ColoredMultigraph:
         return self._pair_colors
 
     @property
-    def pair_multiplicity(self) -> dict[tuple[int, int], int]:
-        return {p: len(cs) for p, cs in self.pair_colors.items()}
-
-    @property
     def n_edges(self) -> int:
         return len(self.edges)
 
@@ -277,19 +273,14 @@ def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport
     return ValidationReport(kind, not witnesses, witnesses, decompositions)
 
 
-def restrict(graph: ColoredMultigraph, vertices: Iterable[int]) -> ColoredMultigraph:
+def restrict_with_map(graph: ColoredMultigraph,
+                      vertices: Iterable[int]) -> tuple[ColoredMultigraph, list[int]]:
     """Induced sub-multigraph: keep exactly the edges with both ends in the set.
 
     Vertex ids and n_colors are preserved, so restriction composes by
-    intersection of the vertex sets.
+    intersection of the vertex sets.  Also returns, per kept edge, its id in
+    the source graph.
     """
-    sub, _ = restrict_with_map(graph, vertices)
-    return sub
-
-
-def restrict_with_map(graph: ColoredMultigraph,
-                      vertices: Iterable[int]) -> tuple[ColoredMultigraph, list[int]]:
-    """Like restrict, also returning kept-edge ids in the source graph."""
     keep = set(vertices)
     edges = []
     edge_map = []

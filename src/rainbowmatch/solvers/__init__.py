@@ -1,4 +1,4 @@
-from .greedy import greedy_maximal, greedy_complete
+from .greedy import greedy_maximal
 from .augment import AugmentConfig, augment
 from .sampling import SamplingConfig, SolveReport, sampling_solve
 from .hypergraph import AuxHypergraph, build_aux_hypergraph, nibble_match
@@ -8,7 +8,7 @@ from .reduce import orient_bipartition_reduce, BipartiteReduction
 from .exact import exact_max_rainbow
 
 __all__ = [
-    "greedy_maximal", "greedy_complete",
+    "greedy_maximal",
     "AugmentConfig", "augment",
     "SamplingConfig", "SolveReport", "sampling_solve",
     "AuxHypergraph", "build_aux_hypergraph", "nibble_match",

@@ -180,9 +180,8 @@ class _Augmenter:
         split = self._split[x] = (free, matched)
         return split
 
-    def _search_from(self, v0: int, depth: int, budget: _Budget
+    def _search_from(self, v0: int, depth: int, budget: _Budget, c0: set[int]
                      ) -> Optional[tuple[list[_Gain], list[int]]]:
-        c0 = self.free_colors()
         heavy = self.cfg.heavy_threshold
         gains: list[_Gain] = []
         removed: list[int] = []  # matching edge ids along the path
@@ -243,8 +242,7 @@ class _Augmenter:
             return gains, removed
         return None
 
-    def _apply(self, gains: list[_Gain], removed: list[int]) -> None:
-        c0 = self.free_colors()
+    def _apply(self, gains: list[_Gain], removed: list[int], c0: set[int]) -> None:
         freed = {self.edge_color[meid] for meid in removed}
         assignment = _assign_colors(gains, freed, c0)
         if assignment is None:
@@ -268,15 +266,17 @@ class _Augmenter:
             self.edge_color[eid] = c
 
     def improve_once(self, budget: _Budget) -> bool:
-        self._split.clear()  # the matching changed since the last search
+        # the matching changed since the last search, and stays fixed during this one
+        self._split.clear()
+        c0 = self.free_colors()
         free_vertices = [v for v in range(self.graph.n_vertices)
                          if v not in self.match_at]
         self.rng.shuffle(free_vertices)
         for depth in range(3, self.cfg.max_depth + 1, 2):
             for v0 in free_vertices:
-                found = self._search_from(v0, depth, budget)
+                found = self._search_from(v0, depth, budget, c0)
                 if found is not None:
-                    self._apply(*found)
+                    self._apply(*found, c0)
                     return True
                 if budget.exhausted:
                     return False

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from ..errors import CompletionFailed
 from ..graph import ColoredMultigraph, RainbowMatching
 
 
@@ -111,21 +110,12 @@ def greedy_maximal(graph: ColoredMultigraph, order: str = "input",
     return RainbowMatching(pairs=pairs)
 
 
-def greedy_complete(sample_graph: ColoredMultigraph,
-                    missing: Iterable[int]) -> RainbowMatching:
-    """Place every missing color inside the sample, scarcest color first.
-
-    Raises CompletionFailed naming the first color with no disjoint edge left.
-    """
-    matching, unplaced = try_complete(sample_graph, missing)
-    if unplaced is not None:
-        raise CompletionFailed(unplaced)
-    return matching
-
-
 def try_complete(sample_graph: ColoredMultigraph,
                  missing: Iterable[int]) -> tuple[RainbowMatching, Optional[int]]:
-    """Non-raising variant of greedy_complete: (partial matching, first stuck color)."""
+    """Place the missing colors inside the sample, scarcest color first.
+
+    Returns (partial matching, first color with no disjoint edge left, or None).
+    """
     used_vertices: set[int] = set()
     used_colors: set[int] = set()
     pairs: list[tuple[int, int]] = []

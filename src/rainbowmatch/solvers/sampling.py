@@ -1,34 +1,42 @@
-"""Sampling-trick meta-solver: weak-solve outside a random vertex sample,
-then greedily place the missing colors inside it."""
+"""The sampling trick as one pipeline: draw a random vertex sample, solve
+weakly outside it, greedily place the missing colors inside it, and repair
+with a whole-graph augment when a color gets stuck; resample a bounded number
+of times and keep the best matching.
+
+sample_and_complete is that skeleton, taking the weak solver and p as inputs.
+sampling_solve plugs in greedy + augment on the rest (Aharoni–Berger,
+Grinblat); two_factor.alspach_solve plugs in the auxiliary-hypergraph nibble.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
-from ..graph import (ColoredMultigraph, RainbowMatching,
+from ..graph import (ColoredMultigraph, RainbowMatching, SampleSplit,
                      draw_sample_split, restrict_with_map)
 from ..seeding import derive_seed
 from .augment import AugmentConfig, augment_flagged
 from .greedy import greedy_maximal, try_complete
 
+PhaseLog = list[tuple[str, int, int]]
+
 
 @dataclass
 class SamplingConfig:
     p: float = 0.5
-    weak_solver: str = "greedy+augment"  # or "greedy"
     max_resamples: int = 5
     seed: int = 0
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    repair: bool = True  # final whole-graph augmentation when defect remains
 
 
 @dataclass
 class SolveReport:
     matching: RainbowMatching
     n_colors: int
-    phase_log: list[tuple[str, int, int]] = field(default_factory=list)
+    phase_log: PhaseLog = field(default_factory=list)
     elapsed: float = 0.0
     seeds_used: list[int] = field(default_factory=list)
     budget_exhausted: bool = False
@@ -59,60 +67,70 @@ def _lift(pairs: list[tuple[int, int]], edge_map: list[int]) -> list[tuple[int, 
     return [(edge_map[eid], c) for eid, c in pairs]
 
 
-def _one_attempt(graph: ColoredMultigraph, cfg: SamplingConfig, seed: int,
-                 log: list[tuple[str, int, int]]) -> tuple[RainbowMatching, bool]:
-    split = draw_sample_split(graph, cfg.p, derive_seed(seed, "split"))
-    rest_graph, rest_map = restrict_with_map(graph, split.rest)
+def sample_and_complete(
+        graph: ColoredMultigraph, p: float,
+        weak: Callable[[ColoredMultigraph, SampleSplit, int, PhaseLog],
+                       tuple[list[tuple[int, int]], bool]],
+        augment_cfg: AugmentConfig, seed: int, max_resamples: int) -> SolveReport:
+    """Run split / weak solve / complete / repair with bounded resampling.
 
-    weak = greedy_maximal(rest_graph, "rare_color_first", derive_seed(seed, "greedy"))
-    log.append(("weak_greedy", 0, len(weak)))
-    exhausted = False
-    if cfg.weak_solver == "greedy+augment":
-        before = len(weak)
-        aug_cfg = replace(cfg.augment, seed=derive_seed(seed, "augment"))
-        weak, exhausted = augment_flagged(rest_graph, weak, aug_cfg)
-        log.append(("weak_augment", before, len(weak)))
-
-    pairs = _lift(weak.pairs, rest_map)
-    missing = set(range(graph.n_colors)) - {c for _, c in pairs}
-    sample_graph, sample_map = restrict_with_map(graph, split.sample)
-    completion, stuck = try_complete(sample_graph, missing)
-    pairs = pairs + _lift(completion.pairs, sample_map)
-    log.append(("complete", len(weak), len(pairs)))
-    combined = RainbowMatching(pairs=pairs)
-
-    if stuck is not None and cfg.repair:
-        before = len(combined)
-        aug_cfg = replace(cfg.augment, seed=derive_seed(seed, "repair"))
-        combined, rex = augment_flagged(graph, combined, aug_cfg)
-        exhausted = exhausted or rex
-        log.append(("repair_augment", before, len(combined)))
-    return combined, exhausted
-
-
-def sampling_solve(graph: ColoredMultigraph, cfg: SamplingConfig) -> SolveReport:
-    """Run the sample / weak-solve / complete pipeline with bounded resampling.
-
-    Resamples with fresh derived seeds until the matching is full or
-    max_resamples attempts are spent; the best matching found is reported.
+    weak(graph, split, seed, log) solves outside split.sample and returns
+    (pairs in graph edge ids, whether a node budget ran out).  Attempt i uses
+    derive_seed(seed, "attempt", i).  Resamples until the matching is full or
+    max_resamples attempts are spent; the first matching with the most colors
+    is reported.
     """
-    if not (0 < cfg.p < 1):
+    if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
     start = time.perf_counter()
-    log: list[tuple[str, int, int]] = []
+    log: PhaseLog = []
     seeds: list[int] = []
-    best: Optional[RainbowMatching] = None
+    best = RainbowMatching()
     exhausted = False
-    for attempt in range(max(1, cfg.max_resamples)):
-        seed = derive_seed(cfg.seed, "attempt", attempt)
-        seeds.append(seed)
-        matching, ex = _one_attempt(graph, cfg, seed, log)
+    for attempt in range(max(1, max_resamples)):
+        sub_seed = derive_seed(seed, "attempt", attempt)
+        seeds.append(sub_seed)
+        split = draw_sample_split(graph, p, derive_seed(sub_seed, "split"))
+        pairs, ex = weak(graph, split, sub_seed, log)
         exhausted = exhausted or ex
-        if best is None or len(matching.colors()) > len(best.colors()):
-            best = matching
+
+        missing = set(range(graph.n_colors)) - {c for _, c in pairs}
+        sample_graph, sample_map = restrict_with_map(graph, split.sample)
+        completion, stuck = try_complete(sample_graph, missing)
+        combined = RainbowMatching(pairs=pairs + _lift(completion.pairs, sample_map))
+        log.append(("complete", len(pairs), len(combined)))
+
+        if stuck is not None:
+            before = len(combined)
+            repair_cfg = replace(augment_cfg, seed=derive_seed(sub_seed, "repair"))
+            combined, ex = augment_flagged(graph, combined, repair_cfg)
+            exhausted = exhausted or ex
+            log.append(("repair_augment", before, len(combined)))
+
+        if len(combined.colors()) > len(best.colors()):
+            best = combined
         if len(best.colors()) == graph.n_colors:
             break
-    assert best is not None
     return SolveReport(matching=best, n_colors=graph.n_colors, phase_log=log,
                        elapsed=time.perf_counter() - start, seeds_used=seeds,
                        budget_exhausted=exhausted)
+
+
+def _greedy_augment(augment_cfg: AugmentConfig, graph: ColoredMultigraph,
+                    split: SampleSplit, seed: int,
+                    log: PhaseLog) -> tuple[list[tuple[int, int]], bool]:
+    """Weak solver: scarcest-color greedy, then augment, on the rest."""
+    rest_graph, rest_map = restrict_with_map(graph, split.rest)
+    matching = greedy_maximal(rest_graph, "rare_color_first", derive_seed(seed, "greedy"))
+    log.append(("weak_greedy", 0, len(matching)))
+    before = len(matching)
+    aug_cfg = replace(augment_cfg, seed=derive_seed(seed, "augment"))
+    matching, exhausted = augment_flagged(rest_graph, matching, aug_cfg)
+    log.append(("weak_augment", before, len(matching)))
+    return _lift(matching.pairs, rest_map), exhausted
+
+
+def sampling_solve(graph: ColoredMultigraph, cfg: SamplingConfig) -> SolveReport:
+    """Sampling trick with greedy + augment as the weak solver."""
+    return sample_and_complete(graph, cfg.p, partial(_greedy_augment, cfg.augment),
+                               cfg.augment, cfg.seed, cfg.max_resamples)

@@ -1,32 +1,32 @@
 """Full rainbow matchings in 2-factorized graphs.
 
 Plenty of vertices (>= 4d) makes the greedy argument go through directly; the
-tight regime samples a vertex set with p = 1 - 2d/n, finds a near-perfect
-matching of the auxiliary hypergraph outside the sample, and completes the
-missing colors inside it.
+tight regime runs the sampling pipeline with p = 1 - 2d/n, finding a
+near-perfect matching of the auxiliary hypergraph outside the sample and
+completing the missing colors inside it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from ..errors import NotTwoFactorized
-from ..graph import (ColoredMultigraph, ColorClassKind, RainbowMatching,
-                     draw_sample_split, restrict_with_map, validate)
+from ..graph import ColoredMultigraph, ColorClassKind, SampleSplit, validate
 from ..seeding import derive_seed
-from .augment import AugmentConfig, augment_flagged
-from .greedy import greedy_maximal, try_complete
+from .augment import AugmentConfig
+from .greedy import greedy_maximal
 from .hypergraph import build_aux_hypergraph, nibble_match
-from .sampling import SolveReport
+from .sampling import PhaseLog, SolveReport, sample_and_complete
+
+# unused here, kept importable: perfbench/layers.py lists them as sites of this module
+from ..graph import draw_sample_split, restrict_with_map  # noqa: F401
+from .augment import augment_flagged  # noqa: F401
+from .greedy import try_complete  # noqa: F401
 
 
-def _nibble_attempt(graph: ColoredMultigraph, seed: int,
-                    log: list[tuple[str, int, int]]) -> RainbowMatching:
-    d = graph.n_colors
-    p = 1.0 - 2.0 * d / graph.n_vertices
-    split = draw_sample_split(graph, p, derive_seed(seed, "split"))
-
+def _nibble(graph: ColoredMultigraph, split: SampleSplit, seed: int,
+            log: PhaseLog) -> tuple[list[tuple[int, int]], bool]:
+    """Weak solver: nibble matching of the auxiliary hypergraph on the rest."""
     aux = build_aux_hypergraph(graph, split.rest)
     triples = nibble_match(aux, seed=derive_seed(seed, "nibble"))
     log.append(("nibble", 0, len(triples)))
@@ -36,21 +36,7 @@ def _nibble_attempt(graph: ColoredMultigraph, seed: int,
     for eid, (u, v, c) in enumerate(graph.edges):
         key = (min(u, v), max(u, v), c)
         pair_index.setdefault(key, eid)
-    pairs = [(pair_index[(min(x, y), max(x, y), c)], c) for x, y, c in triples]
-
-    missing = set(range(d)) - {c for _, c in pairs}
-    sample_graph, sample_map = restrict_with_map(graph, split.sample)
-    completion, stuck = try_complete(sample_graph, missing)
-    pairs = pairs + [(sample_map[eid], c) for eid, c in completion.pairs]
-    log.append(("complete", len(triples), len(pairs)))
-    combined = RainbowMatching(pairs=pairs)
-
-    if stuck is not None:
-        before = len(combined)
-        cfg = AugmentConfig(seed=derive_seed(seed, "repair"))
-        combined, _ = augment_flagged(graph, combined, cfg)
-        log.append(("repair_augment", before, len(combined)))
-    return combined
+    return [(pair_index[(min(x, y), max(x, y), c)], c) for x, y, c in triples], False
 
 
 def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
@@ -63,26 +49,12 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
     if graph.n_vertices <= 2 * d:
         raise NotTwoFactorized("need more than 2d vertices")
 
-    start = time.perf_counter()
-    log: list[tuple[str, int, int]] = []
-    seeds: list[int] = []
-
     if graph.n_vertices >= 4 * d:
+        start = time.perf_counter()
         matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
-        log.append(("greedy", 0, len(matching)))
-        seeds.append(seed)
-        return SolveReport(matching=matching, n_colors=d, phase_log=log,
-                           elapsed=time.perf_counter() - start, seeds_used=seeds)
+        return SolveReport(matching=matching, n_colors=d,
+                           phase_log=[("greedy", 0, len(matching))],
+                           elapsed=time.perf_counter() - start, seeds_used=[seed])
 
-    best: Optional[RainbowMatching] = None
-    for attempt in range(max(1, max_resamples)):
-        sub_seed = derive_seed(seed, "attempt", attempt)
-        seeds.append(sub_seed)
-        matching = _nibble_attempt(graph, sub_seed, log)
-        if best is None or len(matching.colors()) > len(best.colors()):
-            best = matching
-        if len(best.colors()) == d:
-            break
-    assert best is not None
-    return SolveReport(matching=best, n_colors=d, phase_log=log,
-                       elapsed=time.perf_counter() - start, seeds_used=seeds)
+    return sample_and_complete(graph, 1.0 - 2.0 * d / graph.n_vertices, _nibble,
+                               AugmentConfig(), seed, max_resamples)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rainbowmatch.graph import (ColorClassKind,
                                 ColoredMultigraph, RainbowMatching,
                                 clique_decompose, draw_sample_split,
-                                is_rainbow_matching, load_instance, restrict,
+                                is_rainbow_matching, load_instance,
                                 restrict_with_map, save_instance, validate)
 
 
@@ -109,9 +109,11 @@ def test_restrict_keeps_vertex_ids_and_colors():
 @given(a=st.sets(st.integers(0, 5)), b=st.sets(st.integers(0, 5)))
 def test_restrict_composes_by_intersection(a, b):
     g = small_graph()
-    lhs = restrict(restrict(g, a), b)
-    rhs = restrict(g, a & b)
+    inner, inner_map = restrict_with_map(g, a)
+    lhs, lhs_map = restrict_with_map(inner, b)
+    rhs, rhs_map = restrict_with_map(g, a & b)
     assert lhs.edges == rhs.edges
+    assert [inner_map[eid] for eid in lhs_map] == rhs_map
 
 
 def test_index_rebuild_is_representation_independent():

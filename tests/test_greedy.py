@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch.errors import CompletionFailed
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
 from rainbowmatch.graph import is_rainbow_matching
-from rainbowmatch.solvers import greedy_complete, greedy_maximal
+from rainbowmatch.solvers import greedy_maximal
 from rainbowmatch.solvers.greedy import try_complete
 
 
@@ -44,23 +43,17 @@ def test_maximal_size_bound_on_3n_instances(n, seed):
     assert len(m) >= n - math.isqrt(n)
 
 
-def test_greedy_complete_places_missing_colors():
+def test_try_complete_places_missing_colors():
     g = gen_latin(6)
-    partial = greedy_complete(g, missing=[1, 3, 5])
+    partial, stuck = try_complete(g, missing=[1, 3, 5])
+    assert stuck is None
     assert partial.colors() == {1, 3, 5}
     ok, why = is_rainbow_matching(g, partial)
     assert ok, why
 
 
-def test_greedy_complete_raises_with_stuck_color():
-    # two colors but a single vertex pair: the second color cannot be placed
-    from rainbowmatch.graph import ColoredMultigraph
-    g = ColoredMultigraph(2, 2, [(0, 1, 0), (0, 1, 1)])
-    with pytest.raises(CompletionFailed):
-        greedy_complete(g, missing=[0, 1])
-
-
 def test_try_complete_reports_first_stuck_color():
+    # two colors but a single vertex pair: the second color cannot be placed
     from rainbowmatch.graph import ColoredMultigraph
     g = ColoredMultigraph(2, 2, [(0, 1, 0), (0, 1, 1)])
     matching, stuck = try_complete(g, [0, 1])

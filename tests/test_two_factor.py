@@ -4,7 +4,8 @@ import pytest
 
 from rainbowmatch.errors import NotTwoFactorized
 from rainbowmatch.generators import gen_latin, gen_two_factorized
-from rainbowmatch.graph import is_rainbow_matching
+from rainbowmatch.graph import (ColoredMultigraph, ColorClassKind,
+                                is_rainbow_matching, validate)
 from rainbowmatch.solvers import alspach_solve
 
 
@@ -21,10 +22,12 @@ def test_rejects_non_two_factorized():
 
 
 def test_rejects_too_few_vertices():
-    g = gen_two_factorized(2, "circulant", 0, 0)  # 5 vertices = 2d+1 <= fine
-    # build a 2d-vertex-deficient case: d=2 on 5 vertices is > 2d, so craft d=2
-    # with exactly 2d vertices via the validator path instead
-    assert g.n_vertices > 2 * 2  # sanity for the generator itself
+    # both colours on the 4-cycle 0-1-2-3: a valid 2-factorization with n = 2d
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    g = ColoredMultigraph(4, 2, [(u, v, c) for c in range(2) for u, v in cycle])
+    assert validate(g, ColorClassKind.TWO_FACTOR).valid
+    with pytest.raises(NotTwoFactorized, match="more than 2d"):
+        alspach_solve(g)
 
 
 def test_greedy_regime_full_matching():
