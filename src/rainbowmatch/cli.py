@@ -20,14 +20,14 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .errors import RainbowError
+from .errors import RainbowError, RefusedReport
 from .generators import Family, GeneratorSpec
-from .graph import (ColorClassKind, ColoredMultigraph, RainbowMatching,
+from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
                     load_instance, save_instance)
 from .seeding import derive_seed
 from .solvers import (AugmentConfig, SamplingConfig, SolveReport,
-                      alspach_solve, augment, exact_max_rainbow,
-                      expander_matching, greedy_maximal, sampling_solve)
+                      alspach_solve, augment, default_p, exact_max_rainbow,
+                      greedy_maximal, sampling_solve)
 from .verification import SWEEP_FAMILIES, THEOREM_IDS, check, sweep_surplus
 
 _DURATION_RE = re.compile(r"^(\d+)(s|ms)$")
@@ -128,23 +128,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_p(token: str, graph: ColoredMultigraph) -> float:
-    if token == "auto":
-        return min(0.5, 2.0 * graph.n_colors ** -0.25)
-    p = float(token)
-    if not (0 < p < 1):
-        raise ValueError("p must lie strictly between 0 and 1 (or be 'auto')")
-    return p
-
-
-def _report_from_matching(matching: RainbowMatching, graph: ColoredMultigraph,
-                          phase: str, seed: int, elapsed: float,
-                          optimal: Optional[bool] = None) -> SolveReport:
-    return SolveReport(matching=matching, n_colors=graph.n_colors,
-                       phase_log=[(phase, 0, len(matching))], elapsed=elapsed,
-                       seeds_used=[seed], optimal=optimal)
-
-
 def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     family = Family(args.family)
     spec = GeneratorSpec(family=family, n=args.n, v=args.v, extra=args.extra,
@@ -154,42 +137,61 @@ def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+# solve's table: id -> entry(graph, args, seed) -> SolveReport.  Entries look
+# the solvers up as module globals at call time, so wrappers installed here see them.
+def _solve_greedy(graph: ColoredMultigraph, args: argparse.Namespace,
+                  seed: int) -> SolveReport:
+    start = time.perf_counter()
+    matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
+    return SolveReport.single_phase("greedy", matching, graph.n_colors, seed, start)
+
+
+def _solve_augment(graph: ColoredMultigraph, args: argparse.Namespace,
+                   seed: int) -> SolveReport:
+    start = time.perf_counter()
+    matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
+    cfg = AugmentConfig(max_depth=args.depth, seed=derive_seed(seed, "augment"))
+    matching = augment(graph, matching, cfg)
+    return SolveReport.single_phase("greedy+augment", matching, graph.n_colors,
+                                    seed, start)
+
+
+def _solve_sampling(graph: ColoredMultigraph, args: argparse.Namespace,
+                    seed: int) -> SolveReport:
+    p = default_p(graph.n_colors) if args.p == "auto" else float(args.p)
+    cfg = SamplingConfig(p=p, seed=seed, max_resamples=args.resamples,
+                         augment=AugmentConfig(max_depth=args.depth))
+    return sampling_solve(graph, cfg)
+
+
+def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
+                   seed: int) -> SolveReport:
+    return alspach_solve(graph, seed=seed, max_resamples=args.resamples)
+
+
+def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
+                 seed: int) -> SolveReport:
+    start = time.perf_counter()
+    _, matching, certified = exact_max_rainbow(graph, args.time_limit)
+    return SolveReport.single_phase("exact", matching, graph.n_colors, seed, start,
+                                    optimal=certified)
+
+
+SOLVERS = {"greedy": _solve_greedy, "augment": _solve_augment,
+           "sampling": _solve_sampling, "alspach": _solve_alspach,
+           "exact": _solve_exact}
+
+
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
     seed = _resolve_seed(args)
     graph, _ = load_instance(args.instance)
-    start = time.perf_counter()
-
-    if args.solver == "greedy":
-        matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
-        report = _report_from_matching(matching, graph, "greedy", seed,
-                                       time.perf_counter() - start)
-    elif args.solver == "augment":
-        matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
-        cfg = AugmentConfig(max_depth=args.depth, seed=derive_seed(seed, "augment"))
-        matching = augment(graph, matching, cfg)
-        report = _report_from_matching(matching, graph, "greedy+augment", seed,
-                                       time.perf_counter() - start)
-    elif args.solver == "sampling":
-        cfg = SamplingConfig(p=_resolve_p(args.p, graph), seed=seed,
-                             max_resamples=args.resamples,
-                             augment=AugmentConfig(max_depth=args.depth))
-        report = sampling_solve(graph, cfg)
-    elif args.solver == "alspach":
-        report = alspach_solve(graph, seed=seed, max_resamples=args.resamples)
-    elif args.solver == "lemma41":
-        ids = expander_matching(graph)
-        matching = RainbowMatching(pairs=[(eid, graph.edges[eid][2]) for eid in ids])
-        report = _report_from_matching(matching, graph, "expander", seed,
-                                       time.perf_counter() - start)
-    else:  # exact
-        limit = args.time_limit
-        size, matching, certified = exact_max_rainbow(graph, limit)
-        report = _report_from_matching(matching, graph, "exact", seed,
-                                       time.perf_counter() - start,
-                                       optimal=certified)
+    report = SOLVERS[args.solver](graph, args, seed)
+    ok, why = is_rainbow_matching(graph, report.matching)
+    if not ok:
+        raise RefusedReport(f"solver {args.solver!r} returned a matching that is "
+                            f"not rainbow: {why}")
 
     doc = report.to_json_dict(graph)
-    doc["seed"] = seed
     if _deterministic_run():
         doc["elapsed_ms"] = 0
     doc["manifest"] = build_manifest(argv, seed, args.instance)
@@ -239,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(g)
 
     s = sub.add_parser("solve", help="run a solver on an instance file")
-    s.add_argument("--solver", required=True,
-                   choices=["greedy", "augment", "sampling", "alspach",
-                            "lemma41", "exact"])
+    s.add_argument("--solver", required=True, choices=list(SOLVERS))
     s.add_argument("--p", default="auto", help="sampling probability or 'auto'")
     s.add_argument("--depth", type=int, default=9)
     s.add_argument("--resamples", type=int, default=5)
@@ -282,10 +282,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "verify": _cmd_verify, "sweep": _cmd_sweep}
     try:
         return handlers[args.command](args, ["rainbowmatch"] + list(argv))
-    except (RainbowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RainbowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

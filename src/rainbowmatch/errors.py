@@ -29,6 +29,10 @@ class InvalidInstance(RainbowError):
     """An instance file is not a well-formed instance document."""
 
 
+class RefusedReport(RainbowError):
+    """A solver returned a matching that is not a rainbow matching of its input."""
+
+
 class HypothesisViolated(RainbowError):
     """The instance does not satisfy the preconditions of the matching expander."""
 

@@ -45,6 +45,8 @@ class ColoredMultigraph:
     color_edges: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n_vertices < 0 or self.n_colors < 0:
+            raise ValueError("negative vertex or color count")
         if self.sides is not None and len(self.sides) != self.n_vertices:
             raise ValueError("sides tag must cover every vertex")
         self.rebuild_indices()
@@ -98,12 +100,6 @@ class ColoredMultigraph:
 
     def max_multiplicity(self) -> int:
         return max(map(len, self.pair_colors.values()), default=0)
-
-    def colors_on_pair(self, u: int, v: int) -> list[int]:
-        return self.pair_colors.get(_pair(u, v), [])
-
-    def color_degree(self, v: int, c: int) -> int:
-        return sum(1 for eid in self.incident[v] if self.edges[eid][2] == c)
 
     def to_json_dict(self, kind: ColorClassKind = ColorClassKind.ARBITRARY) -> dict:
         doc = {
@@ -304,16 +300,6 @@ class RainbowMatching:
 
     def colors(self) -> set[int]:
         return {c for _, c in self.pairs}
-
-    def vertices(self, graph: ColoredMultigraph) -> set[int]:
-        out: set[int] = set()
-        for eid, _ in self.pairs:
-            u, v, _ = graph.edges[eid]
-            out.update((u, v))
-        return out
-
-    def edge_ids(self) -> set[int]:
-        return {eid for eid, _ in self.pairs}
 
     def as_edge_list(self, graph: ColoredMultigraph) -> list[list[int]]:
         return sorted([graph.edges[eid][0], graph.edges[eid][1], c]

@@ -1,6 +1,6 @@
 from .greedy import greedy_maximal
 from .augment import AugmentConfig, augment
-from .sampling import SamplingConfig, SolveReport, sampling_solve
+from .sampling import SamplingConfig, SolveReport, default_p, sampling_solve
 from .hypergraph import AuxHypergraph, build_aux_hypergraph, nibble_match
 from .two_factor import alspach_solve
 from .expander import expander_matching, edge_disjoint_matchings
@@ -10,7 +10,7 @@ from .exact import exact_max_rainbow
 __all__ = [
     "greedy_maximal",
     "AugmentConfig", "augment",
-    "SamplingConfig", "SolveReport", "sampling_solve",
+    "SamplingConfig", "SolveReport", "default_p", "sampling_solve",
     "AuxHypergraph", "build_aux_hypergraph", "nibble_match",
     "alspach_solve",
     "expander_matching", "edge_disjoint_matchings",

@@ -102,7 +102,7 @@ def greedy_maximal(graph: ColoredMultigraph, order: str = "input",
         if order == "random":
             random.Random(seed).shuffle(ids)
         _greedy_pass(graph, ids, used_vertices, used_colors, pairs)
-    elif order in ("rare_color_first", "rare_colour_first"):
+    elif order == "rare_color_first":
         picker = _ScarcestPicker(graph, range(graph.n_colors))
         picker.run(used_vertices, used_colors, pairs)
     else:

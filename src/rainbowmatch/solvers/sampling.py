@@ -24,6 +24,11 @@ from .greedy import greedy_maximal, try_complete
 PhaseLog = list[tuple[str, int, int]]
 
 
+def default_p(n_colors: int) -> float:
+    """Split probability min(1/2, 2 n^(-1/4)) for n colors; 1/2 without colors."""
+    return min(0.5, 2.0 * n_colors ** -0.25) if n_colors > 0 else 0.5
+
+
 @dataclass
 class SamplingConfig:
     p: float = 0.5
@@ -41,6 +46,17 @@ class SolveReport:
     seeds_used: list[int] = field(default_factory=list)
     budget_exhausted: bool = False
     optimal: Optional[bool] = None
+    seed: int = 0  # the caller's seed, from which every seed in seeds_used derives
+
+    @classmethod
+    def single_phase(cls, phase: str, matching: RainbowMatching, n_colors: int,
+                     seed: int, start: float,
+                     optimal: Optional[bool] = None) -> SolveReport:
+        """Report of a solver that built one matching in one phase since start."""
+        return cls(matching=matching, n_colors=n_colors,
+                   phase_log=[(phase, 0, len(matching))],
+                   elapsed=time.perf_counter() - start, seeds_used=[seed],
+                   optimal=optimal, seed=seed)
 
     @property
     def defect(self) -> int:
@@ -57,7 +73,7 @@ class SolveReport:
             "missing_colors": self.missing_colors,
             "matching": self.matching.as_edge_list(graph),
             "phases": [list(p) for p in self.phase_log],
-            "seed": self.seeds_used[0] if self.seeds_used else 0,
+            "seed": self.seed,
             "elapsed_ms": int(self.elapsed * 1000),
             "optimal": self.optimal,
         }
@@ -113,7 +129,7 @@ def sample_and_complete(
             break
     return SolveReport(matching=best, n_colors=graph.n_colors, phase_log=log,
                        elapsed=time.perf_counter() - start, seeds_used=seeds,
-                       budget_exhausted=exhausted)
+                       budget_exhausted=exhausted, seed=seed)
 
 
 def _greedy_augment(augment_cfg: AugmentConfig, graph: ColoredMultigraph,

@@ -44,7 +44,8 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
     """Rainbow matching using every color of a 2-factorized instance."""
     report = validate(graph, ColorClassKind.TWO_FACTOR)
     if not report.valid:
-        raise NotTwoFactorized(f"witnesses: {report.witnesses[:5]}")
+        raise NotTwoFactorized("colour classes are not 2-factors; first (colour, "
+                               f"vertex) witnesses: {report.witnesses[:5]}")
     d = graph.n_colors
     if graph.n_vertices <= 2 * d:
         raise NotTwoFactorized("need more than 2d vertices")
@@ -52,9 +53,7 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
     if graph.n_vertices >= 4 * d:
         start = time.perf_counter()
         matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
-        return SolveReport(matching=matching, n_colors=d,
-                           phase_log=[("greedy", 0, len(matching))],
-                           elapsed=time.perf_counter() - start, seeds_used=[seed])
+        return SolveReport.single_phase("greedy", matching, d, seed, start)
 
     return sample_and_complete(graph, 1.0 - 2.0 * d / graph.n_vertices, _nibble,
                                AugmentConfig(), seed, max_resamples)

@@ -15,8 +15,8 @@ from .generators import (gen_ab, gen_grinblat, gen_triangle_lb,
                          gen_two_factorized, gen_two_k4)
 from .graph import ColoredMultigraph
 from .seeding import derive_seed
-from .solvers import (SamplingConfig, alspach_solve, exact_max_rainbow,
-                      greedy_maximal, sampling_solve)
+from .solvers import (SamplingConfig, alspach_solve, default_p,
+                      exact_max_rainbow, greedy_maximal, sampling_solve)
 
 ORACLE_TIME_LIMIT = 240.0  # seconds per certification cell
 
@@ -58,10 +58,6 @@ class TheoremCheck:
                        "solver_seed": c.solver_seed} for c in self.cells],
             "summary": {"pass_rate": self.pass_rate},
         }
-
-
-def _clamped_p(raw: float) -> float:
-    return min(0.5, raw)
 
 
 # per-theorem desk-scale defaults: (n_values, trials, assertion text)
@@ -109,21 +105,21 @@ def _check_grinblat_weak(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
 def _check_grinblat_strong(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     surplus = math.ceil(40 * n ** 0.75)
     graph = gen_grinblat(n, 3 * n + surplus, n, iseed)
-    defect = _run_pipeline(graph, _clamped_p(2 * n ** -0.25), sseed)
+    defect = _run_pipeline(graph, default_p(n), sseed)
     return defect == 0, float(-defect)
 
 
 def _check_ab_bipartite(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     surplus = math.ceil(7 * n ** 0.75)
     graph = gen_ab(n, surplus, True, iseed)
-    defect = _run_pipeline(graph, _clamped_p(2 * n ** -0.25), sseed)
+    defect = _run_pipeline(graph, default_p(n), sseed)
     return defect == 0, float(-defect)
 
 
 def _check_ab_general(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     surplus = math.ceil(n ** 0.95)
     graph = gen_ab(n, surplus, False, iseed)
-    defect = _run_pipeline(graph, _clamped_p(7 * n ** (-1 / 16)), sseed)
+    defect = _run_pipeline(graph, min(0.5, 7 * n ** (-1 / 16)), sseed)
     return defect == 0, float(-defect)
 
 
@@ -131,7 +127,7 @@ def _check_grinblat_multiplicity(n: int, iseed: int, sseed: int) -> tuple[bool, 
     surplus = math.ceil(n ** 0.9)
     m = math.ceil(n / 10)
     graph = gen_grinblat(n, 3 * n + surplus, m, iseed)
-    defect = _run_pipeline(graph, _clamped_p(2 * n ** -0.25), sseed)
+    defect = _run_pipeline(graph, default_p(n), sseed)
     return defect == 0, float(-defect)
 
 
@@ -226,7 +222,7 @@ def sweep_surplus(family: str, n: int, surplus_values: list[int],
                 graph = gen_grinblat(n, 3 * n + surplus, n, iseed)
             else:
                 graph = gen_ab(n, surplus, family == "ab_bipartite", iseed)
-            defect = _run_pipeline(graph, _clamped_p(2 * n ** -0.25), sseed)
+            defect = _run_pipeline(graph, default_p(n), sseed)
             wins += defect == 0
         rows.append({"family": family, "n": n, "surplus": surplus,
                      "trials": trials,

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainbowmatch.cli import main, parse_duration
+from rainbowmatch.cli import SOLVERS, main, parse_duration
+from rainbowmatch.graph import RainbowMatching
+from rainbowmatch.solvers import SolveReport
 
 
 def run(argv, capsys):
@@ -49,15 +57,26 @@ def test_solve_missing_file_exits_2(capsys):
     {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1.5, 0]]},
     {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1]]},
     {"n_vertices": 2, "n_colors": 1, "kind": "bogus", "edges": [[0, 1, 0]]},
+    {"n_vertices": -1, "n_colors": 1, "edges": []},
+    {"n_vertices": 4, "n_colors": -1, "edges": []},
 ], ids=["missing_n_colors", "top_level_list", "non_integer_edge",
-        "short_edge", "unknown_kind"])
-def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc):
+        "short_edge", "unknown_kind", "negative_n_vertices", "negative_n_colors"])
+@pytest.mark.parametrize("solver", ["exact", "sampling"])
+def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc, solver):
     inst = tmp_path / "bad.json"
     inst.write_text(json.dumps(doc))
-    code, out, err = run(["solve", "--solver", "exact", str(inst)], capsys)
+    code, out, err = run(["solve", "--solver", solver, str(inst)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bad.json" in err
+
+
+def test_solve_zero_color_instance(tmp_path, capsys):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"n_vertices": 4, "n_colors": 0, "edges": []}))
+    code, out, _ = run(["solve", "--solver", "sampling", str(inst)], capsys)
+    assert code == 0
+    assert json.loads(out)["size"] == 0
 
 
 def test_solve_report_schema(tmp_path, capsys):
@@ -87,13 +106,43 @@ def test_solvers_run_from_cli(solver, tmp_path, capsys):
     assert doc["size"] >= 1
 
 
-def test_lemma41_solver_from_cli(tmp_path, capsys):
+def test_lemma41_is_not_a_solver(tmp_path, capsys):
+    # expander_matching does not return rainbow matchings, so solve offers it not
     inst = tmp_path / "grin.json"
     run(["generate", "--family", "grinblat", "--n", "10", "--v", "24",
          "--m", "2", "--seed", "3", "-o", str(inst)], capsys)
-    code, out, _ = run(["solve", "--solver", "lemma41", str(inst)], capsys)
-    assert code == 0
-    assert json.loads(out)["size"] >= 10
+    code, out, err = run(["solve", "--solver", "lemma41", str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert "invalid choice: 'lemma41'" in err
+
+
+def test_non_rainbow_report_is_refused(tmp_path, capsys, monkeypatch):
+    def two_edges_of_color_0(graph, args, seed):
+        return SolveReport(matching=RainbowMatching(pairs=[(0, 0), (1, 0)]),
+                           n_colors=graph.n_colors, seed=seed)
+
+    monkeypatch.setitem(SOLVERS, "greedy", two_edges_of_color_0)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n_vertices": 4, "n_colors": 1,
+                                "edges": [[0, 1, 0], [2, 3, 0]]}))
+    report = tmp_path / "report.json"
+    for out_args in ([], ["-o", str(report)]):
+        code, out, err = run(["solve", "--solver", "greedy", *out_args, str(inst)],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not rainbow" in err and "shared color 0" in err
+    assert not report.exists()
+
+
+def test_alspach_names_the_broken_two_factor(tmp_path, capsys):
+    inst = tmp_path / "path.json"
+    inst.write_text(json.dumps({"n_vertices": 3, "n_colors": 1,
+                                "edges": [[0, 1, 0], [1, 2, 0]]}))
+    code, out, err = run(["solve", "--solver", "alspach", str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: colour classes are not 2-factors; first (colour, vertex) "
+                   "witnesses: [(0, 0), (0, 2)]\n")
 
 
 def test_alspach_solver_from_cli(tmp_path, capsys):
@@ -161,3 +210,39 @@ def test_reports_reproducible_under_source_date_epoch(tmp_path, capsys, monkeypa
         assert code == 0
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
+
+
+_SMALL = st.integers(-2, 6)
+_INSTANCE_DOCS = st.fixed_dictionaries(
+    {"n_vertices": _SMALL, "n_colors": _SMALL,
+     "edges": st.lists(st.lists(_SMALL, min_size=2, max_size=4), max_size=4)},
+    optional={"kind": st.sampled_from(["matching", "clique_union", "two_factor",
+                                       "arbitrary", "bogus"]),
+              "sides": st.lists(_SMALL, max_size=6)})
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@settings(max_examples=40, deadline=None)
+@given(doc=_INSTANCE_DOCS)
+def test_solve_never_crashes(tmp_path_factory, solver, doc):
+    """Exit 0 with a rainbow matching of the file's edges, or exit 2."""
+    inst = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    inst.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--solver", solver, str(inst)])
+    assert code in (0, 2)
+    if code == 0:
+        matching = json.loads(out.getvalue())["matching"]
+        edges = {tuple(e) for e in doc["edges"]}
+        assert all(tuple(e) in edges for e in matching)
+        vertices = [x for u, v, _ in matching for x in (u, v)]
+        colors = [c for _, _, c in matching]
+        assert len(set(vertices)) == len(vertices)
+        assert len(set(colors)) == len(colors)
+
+
+def test_readme_lists_exactly_the_solvers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ids = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(ids) == sorted(SOLVERS)

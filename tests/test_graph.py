@@ -28,6 +28,10 @@ def test_edge_validation_rejects_loops_and_ranges():
         ColoredMultigraph(3, 2, [(0, 1, 2)])
     with pytest.raises(ValueError):
         ColoredMultigraph(3, 1, [(0, -1, 0)])
+    with pytest.raises(ValueError, match="negative"):
+        ColoredMultigraph(-1, 1, [])
+    with pytest.raises(ValueError, match="negative"):
+        ColoredMultigraph(3, -1, [])
 
 
 def test_multiplicity_counts_parallel_edges():
@@ -35,7 +39,7 @@ def test_multiplicity_counts_parallel_edges():
     assert g.multiplicity(0, 1) == 3
     assert g.multiplicity(1, 0) == 3
     assert g.max_multiplicity() == 3
-    assert sorted(g.colors_on_pair(0, 1)) == [0, 1, 2]
+    assert sorted(g.pair_colors[(0, 1)]) == [0, 1, 2]
 
 
 def test_instance_round_trip(tmp_path):

@@ -11,7 +11,7 @@ from rainbowmatch.solvers.greedy import try_complete
 
 
 def assert_maximal(graph, matching):
-    used_v = matching.vertices(graph)
+    used_v = {x for eid, _ in matching.pairs for x in graph.edges[eid][:2]}
     used_c = matching.colors()
     for u, v, c in graph.edges:
         assert c in used_c or u in used_v or v in used_v

@@ -6,7 +6,8 @@ import pytest
 
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin, gen_two_factorized
 from rainbowmatch.graph import is_rainbow_matching
-from rainbowmatch.solvers import SamplingConfig, alspach_solve, sampling_solve
+from rainbowmatch.solvers import (SamplingConfig, alspach_solve, default_p,
+                                  sampling_solve)
 
 
 def test_p_out_of_range_rejected():
@@ -55,11 +56,26 @@ def test_same_seed_same_matching():
 
 
 def test_resampling_stops_at_full():
+    # the first attempt of this seeded solve already places every color
     n = 16
     g = gen_ab(n, math.ceil(7 * n ** 0.75), True, 2)
     report = sampling_solve(g, SamplingConfig(p=0.5, seed=1, max_resamples=5))
-    if report.defect == 0:
-        assert len(report.seeds_used) <= 5
+    assert report.defect == 0
+    assert len(report.seeds_used) == 1
+    assert [name for name, _, _ in report.phase_log].count("complete") == 1
+
+
+def test_report_seed_is_the_callers_seed():
+    g = gen_ab(12, 8, True, 3)
+    report = sampling_solve(g, SamplingConfig(p=0.5, seed=41))
+    assert report.seed == 41 and report.to_json_dict(g)["seed"] == 41
+    assert report.seeds_used[0] != 41
+
+
+def test_default_p():
+    assert default_p(0) == 0.5
+    assert default_p(16) == 0.5
+    assert default_p(4096) == 2 * 4096 ** -0.25 == 0.25
 
 
 @pytest.mark.parametrize("solve, digest", [
