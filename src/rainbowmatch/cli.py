@@ -64,6 +64,13 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     when = (datetime.fromtimestamp(int(epoch), tz=timezone.utc)
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
     v.add_argument("--n", type=_parse_int_list, default=None,
                    help="comma-separated values (default: desk-scale table)")
-    v.add_argument("--trials", type=int, default=None)
+    v.add_argument("--trials", type=_positive_int, default=None)
     v.add_argument("-o", "--out", default=None)
     common(v)
 
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--family", required=True, choices=list(SWEEP_FAMILIES))
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--surplus", type=_parse_int_list, required=True)
-    w.add_argument("--trials", type=int, default=20)
+    w.add_argument("--trials", type=_positive_int, default=20)
     w.add_argument("-o", "--out", default=None)
     common(w)
     return parser

@@ -8,6 +8,7 @@ objects and pair multiplicities are exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -99,7 +100,10 @@ class ColoredMultigraph:
         return len(self.pair_colors.get(_pair(u, v), ()))
 
     def max_multiplicity(self) -> int:
-        return max(map(len, self.pair_colors.values()), default=0)
+        """Most edges on any one vertex pair; 0 without edges."""
+        n = self.n_vertices
+        counts = Counter([u * n + v if u < v else v * n + u for u, v, _ in self.edges])
+        return max(counts.values(), default=0)
 
     def to_json_dict(self, kind: ColorClassKind = ColorClassKind.ARBITRARY) -> dict:
         doc = {
@@ -333,8 +337,6 @@ class SampleSplit:
 
     sample: set[int]
     rest: set[int]
-    p: float
-    seed: int
 
 
 def draw_sample_split(graph: ColoredMultigraph, p: float, seed: int) -> SampleSplit:
@@ -343,4 +345,4 @@ def draw_sample_split(graph: ColoredMultigraph, p: float, seed: int) -> SampleSp
     rng = random.Random(seed)
     sample = {v for v in range(graph.n_vertices) if rng.random() < p}
     rest = set(range(graph.n_vertices)) - sample
-    return SampleSplit(sample=sample, rest=rest, p=p, seed=seed)
+    return SampleSplit(sample=sample, rest=rest)

@@ -1,9 +1,11 @@
 """Full rainbow matchings in 2-factorized graphs.
 
-Plenty of vertices (>= 4d) makes the greedy argument go through directly; the
-tight regime runs the sampling pipeline with p = 1 - 2d/n, finding a
-near-perfect matching of the auxiliary hypergraph outside the sample and
-completing the missing colors inside it.
+The input must have 2-factor color classes, more than 2d vertices and no
+vertex pair carrying more than two edges; alspach_solve checks all three once
+per instance.  Plenty of vertices (>= 4d) makes the greedy argument go through
+directly; the tight regime runs the sampling pipeline with p = 1 - 2d/n,
+nibbling a near-perfect matching of the auxiliary hypergraph (the graph edges
+outside the sample, by id) and completing the missing colors inside the sample.
 """
 
 from __future__ import annotations
@@ -28,15 +30,9 @@ def _nibble(graph: ColoredMultigraph, split: SampleSplit, seed: int,
             log: PhaseLog) -> tuple[list[tuple[int, int]], bool]:
     """Weak solver: nibble matching of the auxiliary hypergraph on the rest."""
     aux = build_aux_hypergraph(graph, split.rest)
-    triples = nibble_match(aux, seed=derive_seed(seed, "nibble"))
-    log.append(("nibble", 0, len(triples)))
-
-    # one representative edge id per matched (x, y, c) triple
-    pair_index: dict[tuple[int, int, int], int] = {}
-    for eid, (u, v, c) in enumerate(graph.edges):
-        key = (min(u, v), max(u, v), c)
-        pair_index.setdefault(key, eid)
-    return [(pair_index[(min(x, y), max(x, y), c)], c) for x, y, c in triples], False
+    eids = nibble_match(aux, seed=derive_seed(seed, "nibble"))
+    log.append(("nibble", 0, len(eids)))
+    return [(eid, graph.edges[eid][2]) for eid in eids], False
 
 
 def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
@@ -49,6 +45,10 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
     d = graph.n_colors
     if graph.n_vertices <= 2 * d:
         raise NotTwoFactorized("need more than 2d vertices")
+    multiplicity = graph.max_multiplicity()
+    if multiplicity > 2:
+        raise NotTwoFactorized(f"a vertex pair carries {multiplicity} edges; "
+                               "need at most 2")
 
     if graph.n_vertices >= 4 * d:
         start = time.perf_counter()

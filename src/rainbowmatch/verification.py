@@ -176,6 +176,14 @@ _CHECKERS: dict[str, Callable[[int, int, int], tuple[bool, float]]] = {
 }
 
 
+def _check_domain(n_values: list[int], trials: int) -> None:
+    """Refuse a grid that checks nothing or feeds a checker a size below 1."""
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"n must be at least 1, got {min(n_values)}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def check(theorem_id: str, n_values: Optional[list[int]] = None,
           trials: Optional[int] = None, seed: int = 0) -> TheoremCheck:
     """Run one theorem checker over its (n, trial) grid.
@@ -189,6 +197,7 @@ def check(theorem_id: str, n_values: Optional[list[int]] = None,
     default_n, default_trials, assertion = DEFAULTS[theorem_id]
     ns = list(n_values) if n_values else list(default_n)
     t = trials if trials else default_trials
+    _check_domain(ns, t)
     result = TheoremCheck(theorem_id=theorem_id, n_values=ns, trials=t,
                           seed=seed, assertion=assertion)
     checker = _CHECKERS[theorem_id]
@@ -212,6 +221,7 @@ def sweep_surplus(family: str, n: int, surplus_values: list[int],
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"family {family!r} has no surplus parameter; "
                          f"known: {', '.join(SWEEP_FAMILIES)}")
+    _check_domain([n], trials)
     rows = []
     for surplus in surplus_values:
         wins = 0
@@ -226,5 +236,5 @@ def sweep_surplus(family: str, n: int, surplus_values: list[int],
             wins += defect == 0
         rows.append({"family": family, "n": n, "surplus": surplus,
                      "trials": trials,
-                     "success_fraction": wins / trials if trials else 1.0})
+                     "success_fraction": wins / trials})
     return rows

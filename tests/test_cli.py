@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rainbowmatch.cli import SOLVERS, main, parse_duration
 from rainbowmatch.graph import RainbowMatching
 from rainbowmatch.solvers import SolveReport
+from rainbowmatch.verification import SWEEP_FAMILIES, THEOREM_IDS
 
 
 def run(argv, capsys):
@@ -221,6 +222,14 @@ _INSTANCE_DOCS = st.fixed_dictionaries(
               "sides": st.lists(_SMALL, max_size=6)})
 
 
+def _quiet_main(argv):
+    """Exit code and stdout of one in-process run; an exception propagates."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 @settings(max_examples=40, deadline=None)
 @given(doc=_INSTANCE_DOCS)
@@ -228,18 +237,66 @@ def test_solve_never_crashes(tmp_path_factory, solver, doc):
     """Exit 0 with a rainbow matching of the file's edges, or exit 2."""
     inst = tmp_path_factory.mktemp("fuzz") / "inst.json"
     inst.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["solve", "--solver", solver, str(inst)])
+    code, out = _quiet_main(["solve", "--solver", solver, str(inst)])
     assert code in (0, 2)
     if code == 0:
-        matching = json.loads(out.getvalue())["matching"]
+        matching = json.loads(out)["matching"]
         edges = {tuple(e) for e in doc["edges"]}
         assert all(tuple(e) in edges for e in matching)
         vertices = [x for u, v, _ in matching for x in (u, v)]
         colors = [c for _, _, c in matching]
         assert len(set(vertices)) == len(vertices)
         assert len(set(colors)) == len(colors)
+
+
+# sizes and trial counts at or below the smallest each checker accepts
+_TINY = st.integers(-2, 2)
+_TINY_LIST = st.lists(_TINY, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(theorem=st.sampled_from(THEOREM_IDS), n=_TINY_LIST, trials=st.integers(-2, 1))
+def test_verify_never_crashes(theorem, n, trials):
+    """Exit 0 or 2 on small and out-of-domain sizes; no check passes on zero trials."""
+    code, out = _quiet_main(["verify", "--theorem", theorem, f"--n={n}",
+                             f"--trials={trials}"])
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out)["cells"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(SWEEP_FAMILIES), n=_TINY, surplus=_TINY_LIST,
+       trials=st.integers(-2, 1))
+def test_sweep_never_crashes(family, n, surplus, trials):
+    """Exit 0 or 2 on small and out-of-domain values; every row ran a trial."""
+    code, out = _quiet_main(["sweep", "--family", family, f"--n={n}",
+                             f"--surplus={surplus}", f"--trials={trials}"])
+    assert code in (0, 2)
+    if code == 0:
+        for row in json.loads(out)["rows"]:
+            assert row["trials"] >= 1 and 0 <= row["success_fraction"] <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "grinblat_weak", "--trials", "-1"],
+    ["verify", "--theorem", "grinblat_weak", "--trials", "0"],
+    ["sweep", "--family", "grinblat", "--n", "4", "--surplus", "1", "--trials", "-2"],
+], ids=["verify-negative", "verify-zero", "sweep-negative"])
+def test_trials_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "--trials: must be at least 1" in err
+
+
+@pytest.mark.parametrize("theorem", ["grinblat_strong", "ab_bipartite_strong",
+                                     "ab_general_strong", "grinblat_multiplicity",
+                                     "alspach_strong"])
+def test_verify_negative_n_exits_2(capsys, theorem):
+    code, out, err = run(["verify", "--theorem", theorem, "--n", "-1", "--trials", "1"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == "error: n must be at least 1, got -1\n"
 
 
 def test_readme_lists_exactly_the_solvers():

@@ -2,8 +2,10 @@
 
 The tracer looks each (module, attribute path) up when it installs, so a
 renamed function or a dropped import fails the traced run before it starts.
-Each benchmark set-up purges and re-imports the package, so anything that
-keeps the previous import alive is counted in the run's peak memory.
+Its counters read the wrapped calls' arguments and results, so a reshaped
+argument fails only once a traced call returns.  Each benchmark set-up purges
+and re-imports the package, so anything that keeps the previous import alive
+is counted in the run's peak memory.
 """
 
 import importlib
@@ -14,14 +16,21 @@ from pathlib import Path
 
 import pytest
 
-_LAYERS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from rainbowmatch import cli
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, module_name):
+    spec = importlib.util.spec_from_file_location(module_name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def _sites():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", _LAYERS_PATH)
-    layers = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = layers  # dataclasses resolve annotations through it
-    spec.loader.exec_module(layers)
+    layers = _load("layers", "perfbench_layers")
     return [(layer.name, module, path)
             for layer in layers.LAYERS for module, path in layer.sites]
 
@@ -54,3 +63,37 @@ def test_reimport_releases_the_previous_package():
     out = subprocess.run([sys.executable, "-c", _REIMPORT], check=True,
                          capture_output=True, text=True, cwd=src).stdout
     assert out.split() == ["0"]
+
+
+def test_traced_solves_record_every_counter(tmp_path, monkeypatch):
+    layers = _load("layers", "perfbench_layers")
+    # spans.py imports its layer table as the top-level module "layers"
+    monkeypatch.setitem(sys.modules, "layers", layers)
+    spans = _load("spans", "perfbench_spans")
+    circulant, ab = tmp_path / "circulant.json", tmp_path / "ab.json"
+    assert cli.main(["generate", "--family", "circulant_two_factor", "--d", "20",
+                     "--extra", "15", "-o", str(circulant)]) == 0
+    assert cli.main(["generate", "--family", "ab_bipartite", "--n", "32",
+                     "--extra", "0", "-o", str(ab)]) == 0
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["solve", "--solver", "alspach", "-o", str(tmp_path / "a.json"),
+                           str(circulant)]),
+                 cli.main(["solve", "--solver", "sampling", "-o", str(tmp_path / "s.json"),
+                           str(ab)])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+
+    counted = {layer.name for layer in layers.LAYERS if layer.counters}
+    seen = {name for name, *_ in tracer.spans}
+    assert {"solvers.hypergraph.nibble_match", "solvers.augment.augment_flagged",
+            "solvers.two_factor.alspach_solve", "solvers.sampling.sampling_solve"} <= seen
+    for name, _start, _end, _parent, _request, counts in tracer.spans:
+        if name in counted:
+            assert counts, f"{name} recorded no counters"
+    nibble = [counts for name, *_, counts in tracer.spans
+              if name == "solvers.hypergraph.nibble_match"]
+    assert all(0 < c["triples"] <= c["colours"] == 20 for c in nibble)

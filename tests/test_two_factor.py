@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
+import random
 
 import pytest
 
+from rainbowmatch.cli import main
 from rainbowmatch.errors import NotTwoFactorized
 from rainbowmatch.generators import gen_latin, gen_two_factorized
 from rainbowmatch.graph import (ColoredMultigraph, ColorClassKind,
@@ -65,3 +69,56 @@ def test_deterministic_given_seed():
     a = alspach_solve(g, seed=21)
     b = alspach_solve(g, seed=21)
     assert a.matching.pairs == b.matching.pairs
+
+
+def _digon_instance():
+    """26 vertices, 9 colours in the nibble regime (2d < 26 < 4d): colours 0-6
+    are the offset-2..8 circulant cycles, colour 7 is every diameter {v, v+13}
+    doubled, colour 8 is a digon on {0, 1} plus the cycle 2, 3, ..., 25.  The
+    edge order is shuffled so the two copies of a digon have unrelated ids."""
+    n = 26
+    edges = [(v, (v + off) % n, c) for c, off in enumerate(range(2, 9))
+             for v in range(n)]
+    edges += [(v, v + 13, 7) for v in range(13)] * 2
+    cycle = list(range(2, n))
+    edges += [(0, 1, 8), (1, 0, 8)]
+    edges += [(a, b, 8) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    random.Random(5).shuffle(edges)
+    return ColoredMultigraph(n, 9, edges)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "01b8ae9e9234c83e997731612bd66428908ded0d1d049c591dbc6eea6ee377d1"),
+    # completion gets stuck, so repair runs on the nibble's digon edges
+    (8, "2d5240ae900d46667ecde8a24b963ec686cf6d4b39fb216d64b1ef96853c684c"),
+])
+def test_digon_reports_are_pinned(seed, digest):
+    """Pinned by endpoints, not edge ids: either copy of a digon is the same
+    matching edge."""
+    g = _digon_instance()
+    assert validate(g, ColorClassKind.TWO_FACTOR).valid
+    report = alspach_solve(g, seed=seed)
+    doc = json.dumps([report.matching.as_edge_list(g),
+                      [list(p) for p in report.phase_log], report.seeds_used])
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def _pair_in_every_colour():
+    """Three Hamilton cycles on 8 vertices, each through the pair {0, 1}."""
+    cycles = [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 3, 5, 7, 2, 4, 6],
+              [0, 1, 4, 7, 3, 6, 2, 5]]
+    return ColoredMultigraph(8, 3, [(a, b, c) for c, cyc in enumerate(cycles)
+                                    for a, b in zip(cyc, cyc[1:] + cyc[:1])])
+
+
+def test_pair_in_three_colours_is_refused_for_every_seed(tmp_path, capsys):
+    g = _pair_in_every_colour()
+    assert validate(g, ColorClassKind.TWO_FACTOR).valid
+    for seed in range(20):
+        with pytest.raises(NotTwoFactorized, match="pair"):
+            alspach_solve(g, seed=seed)
+    inst = tmp_path / "pair.json"
+    inst.write_text(json.dumps(g.to_json_dict(ColorClassKind.TWO_FACTOR)))
+    assert main(["solve", "--solver", "alspach", str(inst)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
