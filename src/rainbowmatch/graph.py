@@ -53,13 +53,9 @@ class ColoredMultigraph:
         self.rebuild_indices()
 
     def rebuild_indices(self) -> None:
-        """Recompute incidence and per-color indices, revalidate edges (idempotent).
-
-        The pair-multiplicity map is derived lazily; this drops any cached copy.
-        """
+        """Recompute incidence and per-color indices, revalidate edges (idempotent)."""
         self.incident = [[] for _ in range(self.n_vertices)]
         self.color_edges = [[] for _ in range(self.n_colors)]
-        self._pair_colors: Optional[dict[tuple[int, int], list[int]]] = None
         nv, nc = self.n_vertices, self.n_colors
         incident, color_edges = self.incident, self.color_edges
         eid = 0
@@ -83,21 +79,8 @@ class ColoredMultigraph:
         raise ValueError(f"edge {eid} endpoint out of range: {(u, v, c)}")
 
     @property
-    def pair_colors(self) -> dict[tuple[int, int], list[int]]:
-        if self._pair_colors is None:
-            pc: dict[tuple[int, int], list[int]] = {}
-            for u, v, c in self.edges:
-                p = (u, v) if u < v else (v, u)
-                pc.setdefault(p, []).append(c)
-            self._pair_colors = pc
-        return self._pair_colors
-
-    @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return len(self.pair_colors.get(_pair(u, v), ()))
 
     def max_multiplicity(self) -> int:
         """Most edges on any one vertex pair; 0 without edges."""

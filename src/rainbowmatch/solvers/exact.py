@@ -1,9 +1,19 @@
 """Exact maximum rainbow matching by branch and bound.
 
 Ground-truth oracle for tests and lower-bound certification.  Branches on the
-scarcest live color (take each of its live edges, or skip the color); prunes
-with the smaller of two bounds: the number of live colors, and a vertex
-packing bound summed over connected components of the live edges.
+scarcest live color, the lowest id among ties: take each of its live edges in
+`color_edges` order, then skip the color.  Prunes with the smaller of two
+bounds: the number of live colors, and a vertex packing bound, the sum of
+floor(|C|/2) over the connected components C of the live edges.
+
+Each node is cheap.  Per-color live-edge counts are kept incrementally, so
+covering or freeing a vertex touches only its incident edges.  The packing
+bound is computed only when the live-color bound does not prune, by a BFS over
+vertex bitmasks: each vertex keeps a mask of the vertices it shares a pair with
+that still carries an unbanned color.  The search runs on an explicit stack of
+frames, so its depth is not capped by the recursion limit.  A node budget makes
+"certified" a pure function of the instance; a time limit is only an outer
+safety net.
 """
 
 from __future__ import annotations
@@ -16,95 +26,149 @@ from .augment import AugmentConfig, augment
 from .greedy import greedy_maximal
 
 
-def _packing_bound(graph: ColoredMultigraph, live: list[int]) -> int:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in live:
-        u, v, _ = graph.edges[eid]
-        for w in (u, v):
-            parent.setdefault(w, w)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    sizes: dict[int, int] = {}
-    for w in parent:
-        r = find(w)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sum(s // 2 for s in sizes.values())
+def _packing_bound(free: int, nbr: list[int]) -> int:
+    """Sum of floor(|C|/2) over the components C that nbr induces on free."""
+    total = 0
+    rest = free
+    while rest:
+        frontier = rest & -rest
+        rest ^= frontier
+        size = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & rest
+            if new:
+                rest ^= new
+                frontier |= new
+                size += new.bit_count()
+        total += size >> 1
+    return total
 
 
 def exact_max_rainbow(graph: ColoredMultigraph,
-                      time_limit: Optional[float] = None
+                      time_limit: Optional[float] = None,
+                      node_budget: Optional[int] = None
                       ) -> tuple[int, RainbowMatching, bool]:
     """(optimum size, witness matching, certified flag).
 
-    certified is True iff the search ran to completion within time_limit
-    (seconds; None means no limit).  The incumbent is seeded with
-    greedy + augmentation, so the result never trails the heuristics.
+    certified is True iff the search ran to completion within node_budget
+    nodes and time_limit seconds (None means no limit).  The incumbent is
+    seeded with greedy + augmentation, so the result never trails the
+    heuristics.
     """
     seed_matching = augment(graph, greedy_maximal(graph, "rare_color_first", 0),
                             AugmentConfig(seed=0))
     best_pairs = list(seed_matching.pairs)
     best_size = len(best_pairs)
 
+    edges = graph.edges
+    n_colors = graph.n_colors
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    used_v = bytearray(graph.n_vertices)
-    banned_c = bytearray(graph.n_colors)
+
+    # live edges: both ends free; count[c] ignores bans, which the scan applies
+    free = bytearray(b"\x01" * graph.n_vertices)
+    free_mask = (1 << graph.n_vertices) - 1
+    count = [len(ids) for ids in graph.color_edges]
+    banned = bytearray(n_colors)
+    around: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_vertices)]
+    # nbr[v] has w's bit iff the pair {v, w} carries an unbanned edge
+    nbr = [0] * graph.n_vertices
+    pair_ids: dict[tuple[int, int], int] = {}
+    unbanned_on_pair: list[int] = []
+    color_pairs: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(n_colors)]
+    for u, v, c in edges:
+        around[u].append((v, c))
+        around[v].append((u, c))
+        p = pair_ids.setdefault((u, v) if u < v else (v, u), len(pair_ids))
+        if p == len(unbanned_on_pair):
+            unbanned_on_pair.append(0)
+        unbanned_on_pair[p] += 1
+        color_pairs[c].append((p, u, v, 1 << u, 1 << v))
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    def cover(x: int) -> None:
+        free[x] = 0
+        for w, d in around[x]:
+            if free[w]:
+                count[d] -= 1
+
+    def uncover(x: int) -> None:
+        for w, d in around[x]:
+            if free[w]:
+                count[d] += 1
+        free[x] = 1
+
+    def ban(c: int) -> None:
+        banned[c] = 1
+        for p, u, v, bu, bv in color_pairs[c]:
+            unbanned_on_pair[p] -= 1
+            if not unbanned_on_pair[p]:
+                nbr[u] ^= bv
+                nbr[v] ^= bu
+
+    def unban(c: int) -> None:
+        banned[c] = 0
+        for p, u, v, bu, bv in color_pairs[c]:
+            if not unbanned_on_pair[p]:
+                nbr[u] ^= bv
+                nbr[v] ^= bu
+            unbanned_on_pair[p] += 1
+
     stack: list[tuple[int, int]] = []
+    # one frame per open branching: [color, its live edge ids, next branch];
+    # branch i < len(ids) takes ids[i], branch len(ids) skips the color
+    frames: list[list] = []
     timed_out = False
     ticks = 0
-
-    def live_by_color() -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for c in range(graph.n_colors):
-            if banned_c[c]:
-                continue
-            ids = [eid for eid in graph.color_edges[c]
-                   if not used_v[graph.edges[eid][0]]
-                   and not used_v[graph.edges[eid][1]]]
-            if ids:
-                out[c] = ids
-        return out
-
-    def dfs() -> None:
-        nonlocal best_size, best_pairs, timed_out, ticks
-        if timed_out:
-            return
+    while True:
         ticks += 1
-        if deadline is not None and ticks % 64 == 0 and time.monotonic() > deadline:
+        if ((node_budget is not None and ticks > node_budget)
+                or (deadline is not None and ticks % 64 == 0
+                    and time.monotonic() > deadline)):
             timed_out = True
-            return
+            break
         size = len(stack)
         if size > best_size:
             best_size = size
             best_pairs = list(stack)
-        live = live_by_color()
-        if not live:
-            return
-        flat = [eid for ids in live.values() for eid in ids]
-        if size + min(len(live), _packing_bound(graph, flat)) <= best_size:
-            return
-        c = min(live, key=lambda cc: (len(live[cc]), cc))
-        for eid in live[c]:
-            u, v, _ = graph.edges[eid]
-            used_v[u] = used_v[v] = 1
-            banned_c[c] = 1
-            stack.append((eid, c))
-            dfs()
-            stack.pop()
-            used_v[u] = used_v[v] = 0
-            banned_c[c] = 0
-            if timed_out:
-                return
-        banned_c[c] = 1
-        dfs()
-        banned_c[c] = 0
-
-    dfs()
+        n_live = 0
+        scarcest = -1
+        fewest = len(edges) + 1
+        for c in range(n_colors):
+            k = count[c]
+            if k and not banned[c]:
+                n_live += 1
+                if k < fewest:
+                    scarcest, fewest = c, k
+        if (size + n_live > best_size
+                and size + _packing_bound(free_mask, nbr) > best_size):
+            ban(scarcest)
+            frames.append([scarcest, [eid for eid in graph.color_edges[scarcest]
+                                      if free[edges[eid][0]] and free[edges[eid][1]]], 0])
+        # advance to the next unexplored branch, closing finished frames
+        while frames:
+            frame = frames[-1]
+            c, ids, i = frame
+            if 0 < i <= len(ids):
+                u, v, _ = edges[ids[i - 1]]
+                stack.pop()
+                uncover(v)
+                uncover(u)
+                free_mask |= (1 << u) | (1 << v)
+            if i <= len(ids):
+                frame[2] = i + 1
+                if i < len(ids):
+                    eid = ids[i]
+                    u, v, _ = edges[eid]
+                    stack.append((eid, c))
+                    cover(u)
+                    cover(v)
+                    free_mask ^= (1 << u) | (1 << v)
+                break
+            unban(c)
+            frames.pop()
+        else:
+            break
     return best_size, RainbowMatching(pairs=sorted(best_pairs)), not timed_out

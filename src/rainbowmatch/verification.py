@@ -18,7 +18,10 @@ from .seeding import derive_seed
 from .solvers import (SamplingConfig, alspach_solve, default_p,
                       exact_max_rainbow, greedy_maximal, sampling_solve)
 
-ORACLE_TIME_LIMIT = 240.0  # seconds per certification cell
+# nodes per certification cell, so "certified" depends on the instance alone;
+# >= 500x the most a default cell (18) or an acceptance criterion 4 cell (182,
+# the order-6 cyclic square) needs
+ORACLE_NODE_BUDGET = 100_000
 
 
 @dataclass
@@ -140,7 +143,7 @@ def _check_alspach(d: int, iseed: int, sseed: int) -> tuple[bool, float]:
 
 def _check_triangle_lb(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     graph = gen_triangle_lb(n)
-    size, _, certified = exact_max_rainbow(graph, ORACLE_TIME_LIMIT)
+    size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
     if not certified:
         return False, math.nan  # inconclusive, never a pass
     return size == n - 1, float((n - 1) - size)
@@ -149,15 +152,17 @@ def _check_triangle_lb(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
 def _check_multiplicity_lb(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     from .generators import gen_multiplicity_lb
     graph = gen_multiplicity_lb(n, 2, iseed)
-    size, _, certified = exact_max_rainbow(graph, ORACLE_TIME_LIMIT)
+    size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
     if not certified:
         return False, math.nan
     return size == n - 1, float((n - 1) - size)
 
 
 def _check_two_k4(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
+    if n != 3:
+        raise ValueError(f"two_k4_lb has only n = 3, got {n}")
     graph = gen_two_k4()
-    size, _, certified = exact_max_rainbow(graph, ORACLE_TIME_LIMIT)
+    size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
     if not certified:
         return False, math.nan
     return size == 2, float(n - size)
@@ -177,9 +182,12 @@ _CHECKERS: dict[str, Callable[[int, int, int], tuple[bool, float]]] = {
 
 
 def _check_domain(n_values: list[int], trials: int) -> None:
-    """Refuse a grid that checks nothing or feeds a checker a size below 1."""
+    """Refuse a grid that checks nothing, repeats a cell or feeds a checker a
+    size below 1."""
     if any(n < 1 for n in n_values):
         raise ValueError(f"n must be at least 1, got {min(n_values)}")
+    if len(set(n_values)) < len(n_values):
+        raise ValueError(f"n values must be distinct, got {n_values}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 

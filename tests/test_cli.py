@@ -303,3 +303,15 @@ def test_readme_lists_exactly_the_solvers():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     ids = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
     assert sorted(ids) == sorted(SOLVERS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--theorem", "two_k4_lb", "--n", "1"], "two_k4_lb has only n = 3, got 1"),
+    (["verify", "--theorem", "two_k4_lb", "--n", "3,4"], "two_k4_lb has only n = 3, got 4"),
+    (["verify", "--theorem", "triangle_lb", "--n", "1,1", "--trials", "1"],
+     "n values must be distinct, got [1, 1]"),
+], ids=["two-k4-n1", "two-k4-n4", "repeated-n"])
+def test_verify_refuses_cells_it_cannot_check(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -35,11 +35,10 @@ def test_edge_validation_rejects_loops_and_ranges():
 
 
 def test_multiplicity_counts_parallel_edges():
-    g = ColoredMultigraph(2, 3, [(0, 1, 0), (1, 0, 1), (0, 1, 2)])
-    assert g.multiplicity(0, 1) == 3
-    assert g.multiplicity(1, 0) == 3
-    assert g.max_multiplicity() == 3
-    assert sorted(g.pair_colors[(0, 1)]) == [0, 1, 2]
+    g = ColoredMultigraph(3, 3, [(0, 1, 0), (1, 0, 1), (0, 1, 2), (1, 2, 0)])
+    assert g.max_multiplicity() == 3  # both orientations count toward one pair
+    assert ColoredMultigraph(3, 1, [(0, 1, 0), (1, 2, 0)]).max_multiplicity() == 1
+    assert ColoredMultigraph(3, 1, []).max_multiplicity() == 0
 
 
 def test_instance_round_trip(tmp_path):
@@ -121,10 +120,9 @@ def test_restrict_composes_by_intersection(a, b):
 
 
 def test_index_rebuild_is_representation_independent():
-    g = small_graph()
+    g = ColoredMultigraph(6, 2, small_graph().edges + [(1, 0, 1)])
     permuted = ColoredMultigraph(6, 2, list(reversed(g.edges)))
-    assert permuted.multiplicity(0, 1) == g.multiplicity(0, 1)
-    assert permuted.max_multiplicity() == g.max_multiplicity()
+    assert permuted.max_multiplicity() == g.max_multiplicity() == 2
     for v in range(6):
         assert len(permuted.incident[v]) == len(g.incident[v])
 
