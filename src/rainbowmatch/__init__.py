@@ -8,9 +8,9 @@ from .graph import (CliqueDecomposition, ColorClassKind, ColoredMultigraph,
                     RainbowMatching, SampleSplit, ValidationReport,
                     clique_decompose, draw_sample_split, is_rainbow_matching,
                     load_instance, restrict_with_map, save_instance, validate)
-from .generators import (Family, GeneratorSpec, gen_ab, gen_grinblat,
-                         gen_latin, gen_multiplicity_lb, gen_triangle_lb,
-                         gen_two_factorized, gen_two_k4)
+from .generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
+                         gen_multiplicity_lb, gen_triangle_lb, gen_two_factorized,
+                         gen_two_k4)
 from .seeding import derive_seed
 from .solvers import (AugmentConfig, AuxHypergraph, BipartiteReduction,
                       SamplingConfig, SolveReport, alspach_solve, augment,

@@ -21,31 +21,16 @@ from typing import Optional
 
 from . import __version__
 from .errors import RainbowError, RefusedReport
-from .generators import Family, GeneratorSpec
-from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
-                    load_instance, save_instance)
+from .generators import FAMILIES
+from .graph import (ColoredMultigraph, is_rainbow_matching, load_instance,
+                    save_instance)
 from .seeding import derive_seed
 from .solvers import (AugmentConfig, SamplingConfig, SolveReport,
                       alspach_solve, augment, default_p, exact_max_rainbow,
                       greedy_maximal, sampling_solve)
-from .verification import SWEEP_FAMILIES, THEOREM_IDS, check, sweep_surplus
+from .verification import PIPELINES, THEOREMS, check, sweep_surplus
 
 _DURATION_RE = re.compile(r"^(\d+)(s|ms)$")
-
-# instance-file kind tag per family
-_FAMILY_KIND = {
-    Family.LATIN_CAYLEY: ColorClassKind.MATCHING,
-    Family.LATIN_RANDOM: ColorClassKind.MATCHING,
-    Family.AB_BIPARTITE: ColorClassKind.MATCHING,
-    Family.AB_GENERAL: ColorClassKind.MATCHING,
-    Family.TWO_K4: ColorClassKind.MATCHING,
-    Family.GRINBLAT: ColorClassKind.CLIQUE_UNION,
-    Family.TRIANGLE_LB: ColorClassKind.CLIQUE_UNION,
-    Family.MULTIPLICITY_LB: ColorClassKind.CLIQUE_UNION,
-    Family.CIRCULANT_TWO_FACTOR: ColorClassKind.TWO_FACTOR,
-    Family.SYMMETRIC_LATIN_TWO_FACTOR: ColorClassKind.TWO_FACTOR,
-}
-
 
 def parse_duration(text: str) -> float:
     """`<int><s|ms>` to seconds."""
@@ -136,11 +121,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
-    family = Family(args.family)
-    spec = GeneratorSpec(family=family, n=args.n, v=args.v, extra=args.extra,
-                         m=args.m, d=args.d, seed=_resolve_seed(args))
-    graph = spec.generate()
-    save_instance(graph, args.out, _FAMILY_KIND[family])
+    kind, make = FAMILIES[args.family]
+    save_instance(make(args, _resolve_seed(args)), args.out, kind)
     return 0
 
 
@@ -237,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     g = sub.add_parser("generate", help="write a seeded instance file")
-    g.add_argument("--family", required=True,
-                   choices=[f.value for f in Family])
+    g.add_argument("--family", required=True, choices=list(FAMILIES))
     g.add_argument("--n", type=int, default=0)
     g.add_argument("--v", type=int, default=0)
     g.add_argument("--m", type=int, default=0)
@@ -259,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(s)
 
     v = sub.add_parser("verify", help="run a theorem checker")
-    v.add_argument("--theorem", required=True, choices=list(THEOREM_IDS))
+    v.add_argument("--theorem", required=True, choices=list(THEOREMS))
     v.add_argument("--n", type=_parse_int_list, default=None,
                    help="comma-separated values (default: desk-scale table)")
     v.add_argument("--trials", type=_positive_int, default=None)
@@ -267,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
 
     w = sub.add_parser("sweep", help="success fraction across surplus values")
-    w.add_argument("--family", required=True, choices=list(SWEEP_FAMILIES))
+    w.add_argument("--family", required=True, choices=list(PIPELINES))
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--surplus", type=_parse_int_list, required=True)
     w.add_argument("--trials", type=_positive_int, default=20)

@@ -8,62 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .errors import GenerationStuck, ParameterViolation, PoolTooSmall
-from .graph import ColoredMultigraph, _pair
-
-
-class Family(Enum):
-    LATIN_CAYLEY = "latin_cayley"
-    LATIN_RANDOM = "latin_random"
-    AB_BIPARTITE = "ab_bipartite"
-    AB_GENERAL = "ab_general"
-    GRINBLAT = "grinblat"
-    TRIANGLE_LB = "triangle_lb"
-    TWO_K4 = "two_k4"
-    MULTIPLICITY_LB = "multiplicity_lb"
-    CIRCULANT_TWO_FACTOR = "circulant_two_factor"
-    SYMMETRIC_LATIN_TWO_FACTOR = "symmetric_latin_two_factor"
-
-
-@dataclass
-class GeneratorSpec:
-    """Bundle of family + parameters, mostly for the CLI."""
-
-    family: Family
-    n: int = 0
-    v: int = 0
-    extra: int = 0
-    m: int = 0
-    d: int = 0
-    seed: int = 0
-
-    def generate(self) -> ColoredMultigraph:
-        f = self.family
-        if f is Family.LATIN_CAYLEY:
-            return gen_latin(self.n, "cayley", self.seed)
-        if f is Family.LATIN_RANDOM:
-            return gen_latin(self.n, "random", self.seed)
-        if f is Family.AB_BIPARTITE:
-            return gen_ab(self.n, self.extra, True, self.seed)
-        if f is Family.AB_GENERAL:
-            return gen_ab(self.n, self.extra, False, self.seed)
-        if f is Family.GRINBLAT:
-            return gen_grinblat(self.n, self.v, self.m, self.seed)
-        if f is Family.TRIANGLE_LB:
-            return gen_triangle_lb(self.n)
-        if f is Family.TWO_K4:
-            return gen_two_k4()
-        if f is Family.MULTIPLICITY_LB:
-            return gen_multiplicity_lb(self.n, self.d, self.seed)
-        if f is Family.CIRCULANT_TWO_FACTOR:
-            return gen_two_factorized(self.d, "circulant", self.extra, self.seed)
-        if f is Family.SYMMETRIC_LATIN_TWO_FACTOR:
-            return gen_two_factorized(self.d, "symmetric_latin", self.extra, self.seed)
-        raise ParameterViolation(f"unknown family {f}")
+from .graph import ColorClassKind, ColoredMultigraph, _pair
 
 
 def _latin_cayley(n: int) -> list[list[int]]:
@@ -364,3 +312,27 @@ def gen_two_factorized(d: int, mode: str, extra_vertices: int = 0,
                         edges.append((a, b, c))
         return ColoredMultigraph(2 * n, d, edges)
     raise ParameterViolation(f"unknown two-factor mode {mode!r}")
+
+
+_MATCHING, _CLIQUES, _TWO_FACTORS = (ColorClassKind.MATCHING, ColorClassKind.CLIQUE_UNION,
+                                     ColorClassKind.TWO_FACTOR)
+
+# family id -> (instance-file kind, generator).  A generator takes the
+# `generate` command's options (anything with n, v, m, d and extra) and the
+# seed.  The lambdas look gen_* up at call time, so a wrapper installed on
+# this module sees every call.
+FAMILIES: dict[str, tuple[ColorClassKind, Callable[[Any, int], ColoredMultigraph]]] = {
+    "latin_cayley": (_MATCHING, lambda o, seed: gen_latin(o.n, "cayley", seed)),
+    "latin_random": (_MATCHING, lambda o, seed: gen_latin(o.n, "random", seed)),
+    "ab_bipartite": (_MATCHING, lambda o, seed: gen_ab(o.n, o.extra, True, seed)),
+    "ab_general": (_MATCHING, lambda o, seed: gen_ab(o.n, o.extra, False, seed)),
+    "grinblat": (_CLIQUES, lambda o, seed: gen_grinblat(o.n, o.v, o.m, seed)),
+    "triangle_lb": (_CLIQUES, lambda o, seed: gen_triangle_lb(o.n)),
+    "two_k4": (_MATCHING, lambda o, seed: gen_two_k4()),
+    "multiplicity_lb": (_CLIQUES, lambda o, seed: gen_multiplicity_lb(o.n, o.d, seed)),
+    "circulant_two_factor": (
+        _TWO_FACTORS, lambda o, seed: gen_two_factorized(o.d, "circulant", o.extra, seed)),
+    "symmetric_latin_two_factor": (
+        _TWO_FACTORS,
+        lambda o, seed: gen_two_factorized(o.d, "symmetric_latin", o.extra, seed)),
+}

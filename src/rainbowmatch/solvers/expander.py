@@ -11,7 +11,7 @@ endpoints of some edge and lets the matching grow.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..errors import AugmentationStalled, HypothesisViolated
 from ..graph import ColoredMultigraph, ColorClassKind, validate
@@ -29,16 +29,10 @@ def _color_spans(graph: ColoredMultigraph) -> list[int]:
 
 
 class _Expander:
-    def __init__(self, graph: ColoredMultigraph, initial: Optional[Iterable[int]]):
+    def __init__(self, graph: ColoredMultigraph):
         self.graph = graph
         self.mate: dict[int, int] = {}       # vertex -> partner
         self.match_edge: dict[int, int] = {}  # min(u,v) of a matched pair -> edge id
-        if initial:
-            for eid in initial:
-                u, v, _ = graph.edges[eid]
-                if u in self.mate or v in self.mate:
-                    raise ValueError("initial matching is not vertex-disjoint")
-                self._add(u, v, eid)
 
     def _add(self, u: int, v: int, eid: int) -> None:
         self.mate[u] = v
@@ -148,9 +142,7 @@ class _Expander:
             self._add(y, v2, eid3)
 
 
-def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None,
-                      target: Optional[int] = None,
-                      initial: Optional[Iterable[int]] = None) -> list[int]:
+def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None) -> list[int]:
     """Matching of size >= n_colors in a qualifying clique-union instance.
 
     m defaults to the realized maximum pair multiplicity.  Raises
@@ -165,13 +157,13 @@ def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None,
         m = realized
     elif realized > m:
         raise HypothesisViolated(f"multiplicity {realized} exceeds cap {m}")
-    n = graph.n_colors if target is None else target
+    n = graph.n_colors
     short = [c for c, s in enumerate(_color_spans(graph)) if s < 2 * n + 2 * m]
     if short:
         raise HypothesisViolated(
             f"colors {short[:5]} span fewer than 2n+2m = {2 * n + 2 * m} vertices")
 
-    exp = _Expander(graph, initial)
+    exp = _Expander(graph)
     cap = max(1, n * n * m)
     iterations = 0
     exp.extend_greedy()
@@ -193,15 +185,14 @@ def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None,
 class _CliqueState:
     """Alive-edge bookkeeping with triangle substitution on deletion."""
 
-    def __init__(self, graph: ColoredMultigraph,
-                 colors: set[int], avoid: set[int]):
+    def __init__(self, graph: ColoredMultigraph):
         self.graph = graph
         self.alive: set[int] = set()
         self.triangle_of: dict[int, tuple[int, ...]] = {}  # edge id -> triangle edge ids
         report = validate(graph, ColorClassKind.CLIQUE_UNION)
         if not report.valid:
             raise HypothesisViolated(f"not a clique union: {report.witnesses[:5]}")
-        for c in colors:
+        for c in range(graph.n_colors):
             deco = report.decompositions[c]
             index: dict[tuple[int, int], list[int]] = {}
             for eid in graph.color_edges[c]:
@@ -216,11 +207,6 @@ class _CliqueState:
                 self.alive.update(tri)
                 for eid in tri:
                     self.triangle_of[eid] = tri
-        if avoid:
-            for eid in list(self.alive):
-                u, v, _ = graph.edges[eid]
-                if u in avoid and v in avoid:
-                    self.delete(eid)
 
     def delete(self, eid: int) -> None:
         if eid not in self.alive:
@@ -247,10 +233,8 @@ class _CliqueState:
         return sub, ids
 
 
-def edge_disjoint_matchings(graph: ColoredMultigraph, count_target: int,
-                            colors: Optional[set[int]] = None,
-                            avoid_vertices: Optional[set[int]] = None
-                            ) -> list[list[int]]:
+def edge_disjoint_matchings(graph: ColoredMultigraph,
+                            count_target: int) -> list[list[int]]:
     """Repeatedly extract full-size matchings, deleting each one's edges and
     dropping colors it used more than sqrt(n) times.
 
@@ -259,8 +243,8 @@ def edge_disjoint_matchings(graph: ColoredMultigraph, count_target: int,
     intersections.
     """
     n0 = graph.n_colors
-    active = set(range(n0)) if colors is None else set(colors)
-    state = _CliqueState(graph, active, avoid_vertices or set())
+    active = set(range(n0))
+    state = _CliqueState(graph)
     heavy_cut = math.sqrt(n0)
     results: list[list[int]] = []
     while len(results) < count_target and active:

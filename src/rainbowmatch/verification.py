@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .generators import (gen_ab, gen_grinblat, gen_triangle_lb,
-                         gen_two_factorized, gen_two_k4)
+from .generators import (gen_ab, gen_grinblat, gen_multiplicity_lb,
+                         gen_triangle_lb, gen_two_factorized, gen_two_k4)
 from .graph import ColoredMultigraph
 from .seeding import derive_seed
 from .solvers import (SamplingConfig, alspach_solve, default_p,
@@ -63,28 +63,7 @@ class TheoremCheck:
         }
 
 
-# per-theorem desk-scale defaults: (n_values, trials, assertion text)
-DEFAULTS: dict[str, tuple[list[int], int, str]] = {
-    "grinblat_weak": ([25, 100, 400], 50,
-                      "greedy maximal size >= n - floor(sqrt(n)) on (n,3n)"),
-    "grinblat_strong": ([64, 100], 50,
-                        "defect 0 with surplus ceil(40 n^0.75)"),
-    "ab_bipartite_strong": ([64, 256], 50,
-                            "defect 0 with surplus ceil(7 n^0.75), bipartite"),
-    "ab_general_strong": ([64, 100], 50,
-                          "defect 0 with surplus ceil(n^0.95), general"),
-    "grinblat_multiplicity": ([64, 100], 50,
-                              "defect 0 with surplus ceil(n^0.9), m = ceil(n/10)"),
-    "alspach_strong": ([10, 20, 40], 20,
-                       "defect 0 on circulants with 2d + ceil(d^0.8) vertices"),
-    "triangle_lb": ([4, 5, 6, 7, 8, 9, 10], 1,
-                    "certified oracle optimum = n - 1"),
-    "multiplicity_lb": ([21], 1,
-                        "certified oracle optimum = n - 1 (d = 2 blocks)"),
-    "two_k4_lb": ([3], 1, "certified oracle optimum = 2 < 3"),
-}
-
-THEOREM_IDS = tuple(DEFAULTS)
+Checker = Callable[[int, int, int], tuple[bool, float]]  # (n, iseed, sseed)
 
 
 def _cell_seeds(seed: int, theorem_id: str, n: int, trial: int) -> tuple[int, int]:
@@ -92,10 +71,51 @@ def _cell_seeds(seed: int, theorem_id: str, n: int, trial: int) -> tuple[int, in
             derive_seed(seed, theorem_id, n, trial, "solver"))
 
 
-def _run_pipeline(graph: ColoredMultigraph, p: float, solver_seed: int) -> int:
-    """Defect of the sampling pipeline at the given split probability."""
-    cfg = SamplingConfig(p=p, seed=solver_seed)
-    return sampling_solve(graph, cfg).defect
+# sweep's family id -> (instance(n, surplus, seed, cap), split probability
+# p(n)): the strong pipeline that `sweep` and the strong checkers run.  cap
+# is grinblat's pair multiplicity cap; None means n, which never binds.
+# The lambdas look gen_* up at call time, so a wrapper installed on this
+# module sees every call.
+PIPELINES: dict[str, tuple[Callable[..., ColoredMultigraph], Callable[[int], float]]] = {
+    "ab_bipartite": (lambda n, surplus, seed, cap: gen_ab(n, surplus, True, seed),
+                     default_p),
+    "ab_general": (lambda n, surplus, seed, cap: gen_ab(n, surplus, False, seed),
+                   lambda n: min(0.5, 7 * n ** (-1 / 16))),
+    "grinblat": (lambda n, surplus, seed, cap: gen_grinblat(
+                     n, 3 * n + surplus, n if cap is None else cap, seed),
+                 default_p),
+}
+
+
+def _pipeline_defect(family: str, n: int, surplus: int, iseed: int, sseed: int,
+                     cap: Optional[int] = None) -> int:
+    """Defect of `family`'s strong pipeline on one seeded instance."""
+    make, p = PIPELINES[family]
+    graph = make(n, surplus, iseed, cap)
+    return sampling_solve(graph, SamplingConfig(p=p(n), seed=sseed)).defect
+
+
+def _strong(family: str, surplus: Callable[[int], int],
+            cap: Optional[Callable[[int], int]] = None) -> Checker:
+    """Checker: `family`'s strong pipeline reaches defect 0 at surplus(n)."""
+    def checker(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
+        defect = _pipeline_defect(family, n, surplus(n), iseed, sseed,
+                                  None if cap is None else cap(n))
+        return defect == 0, float(-defect)
+    return checker
+
+
+def _oracle(make: Callable[[int, int], ColoredMultigraph], offset: int = 1) -> Checker:
+    """Checker: within ORACLE_NODE_BUDGET nodes the oracle certifies that
+    make(n, iseed) has optimum n - 1; the margin is (n - offset) - optimum.
+    An uncertified search gives (False, nan): inconclusive, never a pass."""
+    def checker(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
+        size, _, certified = exact_max_rainbow(make(n, iseed),
+                                               node_budget=ORACLE_NODE_BUDGET)
+        if not certified:
+            return False, math.nan
+        return size == n - 1, float((n - offset) - size)
+    return checker
 
 
 def _check_grinblat_weak(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
@@ -105,35 +125,6 @@ def _check_grinblat_weak(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     return size >= floor_bound, float(size - floor_bound)
 
 
-def _check_grinblat_strong(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
-    surplus = math.ceil(40 * n ** 0.75)
-    graph = gen_grinblat(n, 3 * n + surplus, n, iseed)
-    defect = _run_pipeline(graph, default_p(n), sseed)
-    return defect == 0, float(-defect)
-
-
-def _check_ab_bipartite(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
-    surplus = math.ceil(7 * n ** 0.75)
-    graph = gen_ab(n, surplus, True, iseed)
-    defect = _run_pipeline(graph, default_p(n), sseed)
-    return defect == 0, float(-defect)
-
-
-def _check_ab_general(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
-    surplus = math.ceil(n ** 0.95)
-    graph = gen_ab(n, surplus, False, iseed)
-    defect = _run_pipeline(graph, min(0.5, 7 * n ** (-1 / 16)), sseed)
-    return defect == 0, float(-defect)
-
-
-def _check_grinblat_multiplicity(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
-    surplus = math.ceil(n ** 0.9)
-    m = math.ceil(n / 10)
-    graph = gen_grinblat(n, 3 * n + surplus, m, iseed)
-    defect = _run_pipeline(graph, default_p(n), sseed)
-    return defect == 0, float(-defect)
-
-
 def _check_alspach(d: int, iseed: int, sseed: int) -> tuple[bool, float]:
     extra = max(0, math.ceil(d ** 0.8) - 1)  # n_vertices = 2d + ceil(d^0.8)
     graph = gen_two_factorized(d, "circulant", extra, iseed)
@@ -141,49 +132,56 @@ def _check_alspach(d: int, iseed: int, sseed: int) -> tuple[bool, float]:
     return report.defect == 0, float(-report.defect)
 
 
-def _check_triangle_lb(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
-    graph = gen_triangle_lb(n)
-    size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
-    if not certified:
-        return False, math.nan  # inconclusive, never a pass
-    return size == n - 1, float((n - 1) - size)
-
-
-def _check_multiplicity_lb(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
-    from .generators import gen_multiplicity_lb
-    graph = gen_multiplicity_lb(n, 2, iseed)
-    size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
-    if not certified:
-        return False, math.nan
-    return size == n - 1, float((n - 1) - size)
-
-
-def _check_two_k4(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
+def _two_k4(n: int, iseed: int) -> ColoredMultigraph:
     if n != 3:
         raise ValueError(f"two_k4_lb has only n = 3, got {n}")
-    graph = gen_two_k4()
-    size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
-    if not certified:
-        return False, math.nan
-    return size == 2, float(n - size)
+    return gen_two_k4()
 
 
-_CHECKERS: dict[str, Callable[[int, int, int], tuple[bool, float]]] = {
-    "grinblat_weak": _check_grinblat_weak,
-    "grinblat_strong": _check_grinblat_strong,
-    "ab_bipartite_strong": _check_ab_bipartite,
-    "ab_general_strong": _check_ab_general,
-    "grinblat_multiplicity": _check_grinblat_multiplicity,
-    "alspach_strong": _check_alspach,
-    "triangle_lb": _check_triangle_lb,
-    "multiplicity_lb": _check_multiplicity_lb,
-    "two_k4_lb": _check_two_k4,
+class Theorem(NamedTuple):
+    sizes: list[int]     # desk-scale default n values
+    trials: int          # default trials per n
+    assertion: str
+    checker: Checker
+
+
+THEOREMS: dict[str, Theorem] = {
+    "grinblat_weak": Theorem(
+        [25, 100, 400], 50, "greedy maximal size >= n - floor(sqrt(n)) on (n,3n)",
+        _check_grinblat_weak),
+    "grinblat_strong": Theorem(
+        [64, 100], 50, "defect 0 with surplus ceil(40 n^0.75)",
+        _strong("grinblat", lambda n: math.ceil(40 * n ** 0.75))),
+    "ab_bipartite_strong": Theorem(
+        [64, 256], 50, "defect 0 with surplus ceil(7 n^0.75), bipartite",
+        _strong("ab_bipartite", lambda n: math.ceil(7 * n ** 0.75))),
+    "ab_general_strong": Theorem(
+        [64, 100], 50, "defect 0 with surplus ceil(n^0.95), general",
+        _strong("ab_general", lambda n: math.ceil(n ** 0.95))),
+    "grinblat_multiplicity": Theorem(
+        [64, 100], 50, "defect 0 with surplus ceil(n^0.9), m = ceil(n/10)",
+        _strong("grinblat", lambda n: math.ceil(n ** 0.9),
+                cap=lambda n: math.ceil(n / 10))),
+    "alspach_strong": Theorem(
+        [10, 20, 40], 20, "defect 0 on circulants with 2d + ceil(d^0.8) vertices",
+        _check_alspach),
+    "triangle_lb": Theorem(
+        [4, 5, 6, 7, 8, 9, 10], 1, "certified oracle optimum = n - 1",
+        _oracle(lambda n, iseed: gen_triangle_lb(n))),
+    "multiplicity_lb": Theorem(
+        [21], 1, "certified oracle optimum = n - 1 (d = 2 blocks)",
+        _oracle(lambda n, iseed: gen_multiplicity_lb(n, 2, iseed))),
+    # margin n - optimum: the colours no rainbow matching covers
+    "two_k4_lb": Theorem([3], 1, "certified oracle optimum = 2 < 3",
+                         _oracle(_two_k4, offset=0)),
 }
 
 
 def _check_domain(n_values: list[int], trials: int) -> None:
     """Refuse a grid that checks nothing, repeats a cell or feeds a checker a
     size below 1."""
+    if not n_values:
+        raise ValueError("no n values given")
     if any(n < 1 for n in n_values):
         raise ValueError(f"n must be at least 1, got {min(n_values)}")
     if len(set(n_values)) < len(n_values):
@@ -196,23 +194,22 @@ def check(theorem_id: str, n_values: Optional[list[int]] = None,
           trials: Optional[int] = None, seed: int = 0) -> TheoremCheck:
     """Run one theorem checker over its (n, trial) grid.
 
-    n_values/trials default to the desk-scale table.  Every cell is recorded;
-    a failing or inconclusive trial never raises.
+    n_values/trials of None take the desk-scale table's defaults.  Every cell
+    is recorded; a failing or inconclusive trial never raises.
     """
-    if theorem_id not in _CHECKERS:
+    if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
-                         f"known: {', '.join(THEOREM_IDS)}")
-    default_n, default_trials, assertion = DEFAULTS[theorem_id]
-    ns = list(n_values) if n_values else list(default_n)
-    t = trials if trials else default_trials
+                         f"known: {', '.join(THEOREMS)}")
+    theorem = THEOREMS[theorem_id]
+    ns = list(theorem.sizes if n_values is None else n_values)
+    t = theorem.trials if trials is None else trials
     _check_domain(ns, t)
     result = TheoremCheck(theorem_id=theorem_id, n_values=ns, trials=t,
-                          seed=seed, assertion=assertion)
-    checker = _CHECKERS[theorem_id]
+                          seed=seed, assertion=theorem.assertion)
     for n in ns:
         for trial in range(t):
             iseed, sseed = _cell_seeds(seed, theorem_id, n, trial)
-            passed, margin = checker(n, iseed, sseed)
+            passed, margin = theorem.checker(n, iseed, sseed)
             result.cells.append(CheckCell(n=n, trial=trial, passed=passed,
                                           margin=margin, instance_seed=iseed,
                                           solver_seed=sseed))
@@ -220,28 +217,22 @@ def check(theorem_id: str, n_values: Optional[list[int]] = None,
     return result
 
 
-SWEEP_FAMILIES = ("ab_bipartite", "ab_general", "grinblat")
-
-
 def sweep_surplus(family: str, n: int, surplus_values: list[int],
                   trials: int, seed: int = 0) -> list[dict]:
     """Raw defect-0 fractions of the strong pipeline across surplus values."""
-    if family not in SWEEP_FAMILIES:
+    if family not in PIPELINES:
         raise ValueError(f"family {family!r} has no surplus parameter; "
-                         f"known: {', '.join(SWEEP_FAMILIES)}")
+                         f"known: {', '.join(PIPELINES)}")
     _check_domain([n], trials)
+    if not surplus_values:
+        raise ValueError("no surplus values given")
     rows = []
     for surplus in surplus_values:
         wins = 0
         for trial in range(trials):
             iseed = derive_seed(seed, "sweep", family, n, surplus, trial, "instance")
             sseed = derive_seed(seed, "sweep", family, n, surplus, trial, "solver")
-            if family == "grinblat":
-                graph = gen_grinblat(n, 3 * n + surplus, n, iseed)
-            else:
-                graph = gen_ab(n, surplus, family == "ab_bipartite", iseed)
-            defect = _run_pipeline(graph, default_p(n), sseed)
-            wins += defect == 0
+            wins += _pipeline_defect(family, n, surplus, iseed, sseed) == 0
         rows.append({"family": family, "n": n, "surplus": surplus,
                      "trials": trials,
                      "success_fraction": wins / trials})

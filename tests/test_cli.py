@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch.cli import SOLVERS, main, parse_duration
+from rainbowmatch.cli import SOLVERS, build_parser, main, parse_duration
+from rainbowmatch.generators import FAMILIES
 from rainbowmatch.graph import RainbowMatching
 from rainbowmatch.solvers import SolveReport
-from rainbowmatch.verification import SWEEP_FAMILIES, THEOREM_IDS
+from rainbowmatch.verification import PIPELINES, THEOREMS
 
 
 def run(argv, capsys):
@@ -255,7 +256,7 @@ _TINY_LIST = st.lists(_TINY, min_size=1, max_size=3).map(lambda xs: ",".join(map
 
 
 @settings(max_examples=60, deadline=None)
-@given(theorem=st.sampled_from(THEOREM_IDS), n=_TINY_LIST, trials=st.integers(-2, 1))
+@given(theorem=st.sampled_from(list(THEOREMS)), n=_TINY_LIST, trials=st.integers(-2, 1))
 def test_verify_never_crashes(theorem, n, trials):
     """Exit 0 or 2 on small and out-of-domain sizes; no check passes on zero trials."""
     code, out = _quiet_main(["verify", "--theorem", theorem, f"--n={n}",
@@ -266,7 +267,7 @@ def test_verify_never_crashes(theorem, n, trials):
 
 
 @settings(max_examples=40, deadline=None)
-@given(family=st.sampled_from(SWEEP_FAMILIES), n=_TINY, surplus=_TINY_LIST,
+@given(family=st.sampled_from(list(PIPELINES)), n=_TINY, surplus=_TINY_LIST,
        trials=st.integers(-2, 1))
 def test_sweep_never_crashes(family, n, surplus, trials):
     """Exit 0 or 2 on small and out-of-domain values; every row ran a trial."""
@@ -276,6 +277,46 @@ def test_sweep_never_crashes(family, n, surplus, trials):
     if code == 0:
         for row in json.loads(out)["rows"]:
             assert row["trials"] >= 1 and 0 <= row["success_fraction"] <= 1
+
+
+_GEN_OPTION = st.integers(-2, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(list(FAMILIES)), n=_GEN_OPTION, v=_GEN_OPTION,
+       m=_GEN_OPTION, d=_GEN_OPTION, extra=_GEN_OPTION)
+def test_generate_never_crashes(tmp_path_factory, family, n, v, m, d, extra):
+    """Exit 0 with a loadable file, or exit 2; never a traceback."""
+    path = tmp_path_factory.mktemp("gen") / "inst.json"
+    code, _ = _quiet_main(["generate", "--family", family, f"--n={n}", f"--v={v}",
+                           f"--m={m}", f"--d={d}", f"--extra={extra}", "-o", str(path)])
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(path.read_text())["kind"] == FAMILIES[family][0].value
+
+
+def _choices(command, option):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    parser = sub.choices[command]
+    return next(a.choices for a in parser._actions if option in a.option_strings)
+
+
+def test_each_id_option_takes_its_choices_from_one_table():
+    assert _choices("generate", "--family") == list(FAMILIES)
+    assert _choices("verify", "--theorem") == list(THEOREMS)
+    assert _choices("sweep", "--family") == list(PIPELINES)
+    assert _choices("solve", "--solver") == list(SOLVERS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "two_k4_lb", "--n", ","],
+    ["verify", "--theorem", "grinblat_weak", "--n="],
+    ["sweep", "--family", "grinblat", "--n", "4", "--surplus", ","],
+], ids=["verify-comma", "verify-blank", "sweep-comma"])
+def test_empty_grids_exit_2(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

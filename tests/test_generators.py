@@ -1,11 +1,11 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from rainbowmatch.errors import ParameterViolation
-from rainbowmatch.generators import (Family, GeneratorSpec, gen_ab,
-                                     gen_grinblat, gen_latin,
+from rainbowmatch.generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
                                      gen_multiplicity_lb, gen_triangle_lb,
                                      gen_two_factorized, gen_two_k4)
 from rainbowmatch.graph import ColorClassKind, validate
@@ -145,10 +145,11 @@ def test_degenerate_circulant_offsets_rejected():
         gen_two_factorized(2, "circulant", -1, 0)  # offset 2 on Z_4
 
 
-def test_generator_spec_dispatch_and_determinism():
-    spec = GeneratorSpec(family=Family.AB_GENERAL, n=12, extra=2, seed=99)
-    a, b = spec.generate(), spec.generate()
+def test_family_table_dispatch_and_determinism():
+    kind, make = FAMILIES["ab_general"]
+    options = SimpleNamespace(n=12, extra=2)
+    a, b = make(options, 99), make(options, 99)
+    assert kind is ColorClassKind.MATCHING
     assert a.edges == b.edges
-    seen = {tuple(GeneratorSpec(family=Family.AB_GENERAL, n=12, extra=2,
-                                seed=s).generate().edges) for s in range(10)}
+    seen = {tuple(make(options, s).edges) for s in range(10)}
     assert len(seen) == 10  # different seeds, different instances

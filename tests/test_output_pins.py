@@ -1,0 +1,119 @@
+"""SHA-256 pins of `generate` files, `check` reports and `sweep` rows.
+
+An entry of `generators.FAMILIES`, `verification.THEOREMS` or
+`verification.PIPELINES` that calls its generator, solver or split
+probability differently changes a digest here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from rainbowmatch.cli import main
+from rainbowmatch.verification import check, sweep_surplus
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (family, options, digest of the written instance file)
+GENERATE_PINS = [
+    ("latin_cayley", ["--n", "5"],
+     "f777014201236cdea0622253a7ed6254ca04682fc6e0fc890dc2710533f8279d"),
+    ("latin_cayley", ["--n", "8"],
+     "a7604a625667ac0688dfe6e04d6575e28914795c5bc19036249c187294f6845d"),
+    ("latin_random", ["--n", "6", "--seed", "3"],
+     "649b995f001905d5a78c5bb4451eb86bdc9a07e934292fe1e00147dc40fe8fd8"),
+    ("latin_random", ["--n", "9", "--seed", "11"],
+     "2109e98335631651b25e92e76b57c6c7a6a0e5310e6f6cfedc0c5c153badf0dd"),
+    ("ab_bipartite", ["--n", "8", "--extra", "2", "--seed", "1"],
+     "6e723454dc6e0b424b0e525c24992a52c327c65d37c5eb76dae6a91c9ee240cf"),
+    ("ab_bipartite", ["--n", "12", "--seed", "5"],
+     "850cd68d95460e63fd50fa44dd395596fe80c4f1538bddbef39568ee74da8d33"),
+    ("ab_general", ["--n", "8", "--extra", "2", "--seed", "1"],
+     "efc565f50f03212c79f0030e04ae92e9bb4c7d1bd4b12cafa22e31cac439f764"),
+    ("ab_general", ["--n", "10", "--extra", "3", "--seed", "7"],
+     "39be6ec9da1fc1e7d0f9be64f1a7f6963a635aaf4c1f6246ff00f2cb6f98c39d"),
+    ("grinblat", ["--n", "6", "--v", "18", "--m", "6", "--seed", "2"],
+     "cdb14dd6cf1e39b5ccbc2caf72c71d39012e30f4bca76d5c1a640c2f6c888e17"),
+    ("grinblat", ["--n", "10", "--v", "24", "--m", "2", "--seed", "4"],
+     "7f4465c7897490e78b06c5e7ca138e006c48034711c3343bd46e6e786b7cc28a"),
+    ("triangle_lb", ["--n", "3"],
+     "30a5546a4ee002b333ee3fb926330926b854110b08ad0853c646f27fbb5aa59a"),
+    ("triangle_lb", ["--n", "6"],
+     "8537e4a68f3771949f83c25d9595d3829791f13d86145fd93e7c400b0fc5069f"),
+    ("two_k4", [],
+     "3f4266726162c7f6279997b42caa798acdd34e01d8c4bc73b6b66da3f66af89c"),
+    ("two_k4", ["--seed", "9"],
+     "3f4266726162c7f6279997b42caa798acdd34e01d8c4bc73b6b66da3f66af89c"),
+    ("multiplicity_lb", ["--n", "5", "--d", "2", "--seed", "1"],
+     "0e1e98d41a6d5f3bbe3e910b744a5d7864b994c81d3709f8a4e2465359587406"),
+    ("multiplicity_lb", ["--n", "7", "--d", "3", "--seed", "2"],
+     "41bb34a18c21dba85e73fe5062360c2b9e5ebc351425309d3a97f6208da9943a"),
+    ("circulant_two_factor", ["--d", "4", "--extra", "2"],
+     "90ef138a99b18e9fafa55536ca4554784ccb0644f95d16781b28e5a16c60f25b"),
+    ("circulant_two_factor", ["--d", "7", "--seed", "3"],
+     "68748815a2497547e44e88ae8f871c63a3845626bf746df5aea751f7bc034a4c"),
+    ("symmetric_latin_two_factor", ["--d", "3"],
+     "c55673bffcbf41e25fdfdd7a0db7b59ed1c4c35fdcb19b9b5f80ce11f3fc00cf"),
+    ("symmetric_latin_two_factor", ["--d", "5", "--seed", "1"],
+     "167326e357200a1bfcce5c85b141600ccd7cb9c85e511dd5aaa34a9429b403fb"),
+]
+
+
+@pytest.mark.parametrize("family, options, digest", GENERATE_PINS,
+                         ids=[f"{f}-{i % 2}" for i, (f, *_) in enumerate(GENERATE_PINS)])
+def test_generate_output_is_pinned(tmp_path, family, options, digest):
+    path = tmp_path / "inst.json"
+    assert main(["generate", "--family", family, *options, "-o", str(path)]) == 0
+    assert _sha256(path.read_bytes()) == digest
+
+
+# theorem -> (n values, trials, seed, digest of the sorted-key report JSON)
+CHECK_PINS = {
+    "grinblat_weak": ([9, 16], 2, 1,
+        "351e03b84aa98e97b9fbddd5e26fee338ad67fbd8aab122ff7804f09052221f8"),
+    "grinblat_strong": ([16], 2, 2,
+        "d27921af1b598a5a85616d9250c70e6efe9cebc5c1cd5d5c828873cea3983a80"),
+    "ab_bipartite_strong": ([16, 32], 2, 3,
+        "576c86f55f64de49119ee68c5970d3891a2c22181480ed710bd61dc7a26ccee0"),
+    "ab_general_strong": ([16, 32], 2, 4,
+        "1a67f4a0112c35e81bfa87a4a951eb805751d9f69b555691fc6c1e99937f628c"),
+    "grinblat_multiplicity": ([16, 32], 2, 5,
+        "21e6d96399981a19a08b321f951f013616be6fe1a0f29100d4b7135e4d15aac7"),
+    "alspach_strong": ([5, 10], 2, 6,
+        "1574c346a334f7e0036bfccfd431b0de7a3fae9bd39c90b861ce6d61ac69ec02"),
+    "triangle_lb": ([3, 4, 5], 1, 7,
+        "866fe4db1f2f4cd4fbcd508ffda24a12d243cfa721cef3e927de6c3e8ab15a46"),
+    "multiplicity_lb": ([5, 21], 1, 8,
+        "f33d1a7f5130e5e67ce6dc7f0c8ca7790c64fc439ca49160210d617861911de8"),
+    "two_k4_lb": ([3], 1, 9,
+        "9d00e6d81b4b8eb9df55ed44773fdb44cc95b8360de0b8ee7df722c0dca40573"),
+}
+
+
+@pytest.mark.parametrize("theorem", list(CHECK_PINS))
+def test_check_report_is_pinned(theorem):
+    n_values, trials, seed, digest = CHECK_PINS[theorem]
+    doc = check(theorem, n_values, trials, seed).to_json_dict()
+    assert _sha256(json.dumps(doc, sort_keys=True).encode()) == digest
+
+
+# family -> (n, surplus values, trials, seed, digest of the sorted-key rows)
+SWEEP_PINS = {
+    "ab_bipartite": (16, [0, 4, 16], 3, 1,
+        "cd17e492951114755dea8f3239410ca6274beb9a5580a84a2dd2ddeb49ce295a"),
+    "ab_general": (64, [0, 8], 2, 2,
+        "bf743f228101b57abecbb0fe84b345f2c3c6a21aa9730fbe0eb3bd56d9d8f35c"),
+    "grinblat": (12, [0, 10], 3, 3,
+        "3bb5222cb53a8f8b88047ff3fb2caed17b2985d556f53650be24acd9e020365e"),
+}
+
+
+@pytest.mark.parametrize("family", list(SWEEP_PINS))
+def test_sweep_rows_are_pinned(family):
+    n, surplus, trials, seed, digest = SWEEP_PINS[family]
+    rows = sweep_surplus(family, n, surplus, trials, seed)
+    assert _sha256(json.dumps(rows, sort_keys=True).encode()) == digest

@@ -97,3 +97,26 @@ def test_traced_solves_record_every_counter(tmp_path, monkeypatch):
     nibble = [counts for name, *_, counts in tracer.spans
               if name == "solvers.hypergraph.nibble_match"]
     assert all(0 < c["triples"] <= c["colours"] == 20 for c in nibble)
+
+
+def test_traced_generate_and_verify_hit_the_generator_sites(tmp_path, monkeypatch):
+    layers = _load("layers", "perfbench_layers")
+    monkeypatch.setitem(sys.modules, "layers", layers)
+    spans = _load("spans", "perfbench_spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["generate", "--family", family, *args,
+                           "-o", str(tmp_path / f"{family}.json")])
+                 for family, args in (("latin_random", ["--n", "6"]),
+                                      ("ab_bipartite", ["--n", "8", "--extra", "2"]),
+                                      ("circulant_two_factor", ["--d", "4"]))]
+        codes.append(cli.main(["verify", "--theorem", "grinblat_weak", "--n", "9",
+                               "--trials", "1", "-o", str(tmp_path / "v.json")]))
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0, 0]
+    seen = {name for name, *_ in tracer.spans}
+    assert {"generators.gen_latin", "generators.gen_ab", "generators.gen_two_factorized",
+            "generators.gen_grinblat", "solvers.greedy.greedy_maximal",
+            "verification.check"} <= seen

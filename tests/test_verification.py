@@ -1,7 +1,11 @@
+import math
+from types import SimpleNamespace
+
 import pytest
 
-from rainbowmatch.verification import (DEFAULTS, THEOREM_IDS, check,
-                                       sweep_surplus)
+from rainbowmatch import verification
+from rainbowmatch.solvers import default_p
+from rainbowmatch.verification import THEOREMS, check, sweep_surplus
 
 
 def test_unknown_theorem_rejected():
@@ -47,9 +51,45 @@ def test_cells_embed_replay_seeds():
 
 
 def test_defaults_cover_all_theorems():
-    assert set(THEOREM_IDS) == set(DEFAULTS)
-    for n_values, trials, assertion in DEFAULTS.values():
-        assert n_values and trials >= 1 and assertion
+    for theorem in THEOREMS.values():
+        assert theorem.sizes and theorem.trials >= 1 and theorem.assertion
+        assert callable(theorem.checker)
+
+
+@pytest.mark.parametrize("n_values, trials", [([], None), ([], 1), (None, 0),
+                                              ([3], 0)])
+def test_empty_grid_refused(n_values, trials):
+    # None means "the default table"; an empty grid is refused, not defaulted
+    with pytest.raises(ValueError):
+        check("two_k4_lb", n_values=n_values, trials=trials)
+
+
+def test_sweep_refuses_empty_surplus_list():
+    with pytest.raises(ValueError, match="no surplus values"):
+        sweep_surplus("ab_bipartite", 8, [], 1)
+
+
+# min(1/2, 7n^(-1/16)) = 0.5 at n = 300, where default_p gives 0.4806
+@pytest.mark.parametrize("family, theorem, p", [
+    ("ab_general", "ab_general_strong", 0.5),
+    ("ab_bipartite", "ab_bipartite_strong", default_p(300)),
+    ("grinblat", "grinblat_strong", default_p(300)),
+    ("grinblat", "grinblat_multiplicity", default_p(300)),
+], ids=["ab_general", "ab_bipartite", "grinblat", "grinblat_multiplicity"])
+def test_sweep_runs_the_strong_checkers_p(monkeypatch, family, theorem, p):
+    used = []  # the p of every stubbed solve
+
+    def fake_solve(graph, cfg):
+        used.append(cfg.p)
+        return SimpleNamespace(defect=0)
+
+    monkeypatch.setattr(verification, "gen_ab", lambda *args: None)
+    monkeypatch.setattr(verification, "gen_grinblat", lambda *args: None)
+    monkeypatch.setattr(verification, "sampling_solve", fake_solve)
+    sweep_surplus(family, 300, [0], 1)
+    check(theorem, n_values=[300], trials=1)
+    assert used == [p, p]
+    assert math.isclose(default_p(300), 0.4806, abs_tol=1e-4)
 
 
 def test_report_schema():
