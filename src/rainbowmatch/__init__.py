@@ -3,7 +3,7 @@ verification harness."""
 
 from .errors import (AugmentationStalled, GenerationStuck, HypothesisViolated,
                      NotCliqueUnion, NotTwoFactorized, ParameterViolation,
-                     PoolTooSmall, RainbowError)
+                     RainbowError)
 from .graph import (CliqueDecomposition, ColorClassKind, ColoredMultigraph,
                     RainbowMatching, SampleSplit, ValidationReport,
                     clique_decompose, draw_sample_split, is_rainbow_matching,

@@ -131,14 +131,14 @@ def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 def _solve_greedy(graph: ColoredMultigraph, args: argparse.Namespace,
                   seed: int) -> SolveReport:
     start = time.perf_counter()
-    matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
+    matching = greedy_maximal(graph, "rare_color_first")
     return SolveReport.single_phase("greedy", matching, graph.n_colors, seed, start)
 
 
 def _solve_augment(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
     start = time.perf_counter()
-    matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
+    matching = greedy_maximal(graph, "rare_color_first")
     cfg = AugmentConfig(max_depth=args.depth, seed=derive_seed(seed, "augment"))
     matching = augment(graph, matching, cfg)
     return SolveReport.single_phase("greedy+augment", matching, graph.n_colors,
@@ -149,7 +149,7 @@ def _solve_sampling(graph: ColoredMultigraph, args: argparse.Namespace,
                     seed: int) -> SolveReport:
     p = default_p(graph.n_colors) if args.p == "auto" else float(args.p)
     cfg = SamplingConfig(p=p, seed=seed, max_resamples=args.resamples,
-                         augment=AugmentConfig(max_depth=args.depth))
+                         max_depth=args.depth)
     return sampling_solve(graph, cfg)
 
 

@@ -13,10 +13,6 @@ class NotTwoFactorized(RainbowError):
     """The instance does not have 2-factor colour classes."""
 
 
-class PoolTooSmall(RainbowError):
-    """The vertex pool cannot host a matching of the requested size."""
-
-
 class GenerationStuck(RainbowError):
     """Rejection sampling exceeded its retry budget; parameters look infeasible."""
 

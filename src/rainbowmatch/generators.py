@@ -10,7 +10,7 @@ import math
 import random
 from typing import Any, Callable, Optional
 
-from .errors import GenerationStuck, ParameterViolation, PoolTooSmall
+from .errors import GenerationStuck, ParameterViolation
 from .graph import ColorClassKind, ColoredMultigraph, _pair
 
 
@@ -105,7 +105,8 @@ def gen_ab(n: int, extra: int, bipartite: bool, seed: int) -> ColoredMultigraph:
     """n colors, each a uniformly placed matching of exactly n+extra edges.
 
     The vertex pool has 2(n+extra) + ceil(n/2) vertices: large enough for the
-    per-color matchings, small enough that colors interact.
+    per-color matchings (either bipartite side holds at least n+extra), small
+    enough that colors interact.
     """
     if n < 1 or extra < 0:
         raise ParameterViolation("n >= 1 and extra >= 0 required")
@@ -117,8 +118,6 @@ def gen_ab(n: int, extra: int, bipartite: bool, seed: int) -> ColoredMultigraph:
     if bipartite:
         left = pool // 2 + pool % 2
         right = pool - left
-        if left < size or right < size:
-            raise PoolTooSmall(f"pool {pool} cannot host bipartite matchings of {size}")
         sides = [0] * left + [1] * right
         left_ids = list(range(left))
         right_ids = list(range(left, pool))
@@ -128,8 +127,6 @@ def gen_ab(n: int, extra: int, bipartite: bool, seed: int) -> ColoredMultigraph:
             for k in range(size):
                 edges.append((left_ids[k], right_ids[k], c))
     else:
-        if pool < 2 * size:
-            raise PoolTooSmall(f"pool {pool} cannot host a matching of {size}")
         ids = list(range(pool))
         for c in range(n):
             rng.shuffle(ids)

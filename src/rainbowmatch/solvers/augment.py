@@ -2,9 +2,10 @@
 
 Improvements are alternating paths between two uncovered vertices whose
 non-matching edges take distinct colors from the free colors plus the colors
-released by the matching edges removed along the path.  Vertex pairs repeated
-in many colors are traversed as wildcards; their concrete colors are assigned
-only when a path is applied.
+released by the matching edges removed along the path.  A step to a
+neighbour joined by at least HEAVY_THRESHOLD usable colors is traversed as a
+wildcard; its concrete color is assigned when the path reaches a free vertex,
+and the path is applied with that assignment.
 
 The node budget counts search-tree expansions: one per entry into the
 depth-first search, whatever work that node then does.  The per-vertex
@@ -25,10 +26,13 @@ from ..graph import ColoredMultigraph, RainbowMatching
 from .greedy import _greedy_pass
 
 
+# color options per vertex pair from which a step defers its color choice
+HEAVY_THRESHOLD = 8
+
+
 @dataclass
 class AugmentConfig:
     max_depth: int = 9           # max alternating-path length, odd
-    heavy_threshold: int = 8     # color options per pair before deferring choice
     node_budget: int = 50_000    # search-tree expansions per augment call
     seed: int = 0
 
@@ -49,13 +53,8 @@ class _Budget:
 @dataclass
 class _Gain:
     """One non-matching step of a candidate path."""
-    x: int
-    y: int
     options: list[tuple[int, int]]  # (color, edge id) usable at step time
-    wildcard: bool
-
-    def chosen(self) -> tuple[int, int]:
-        return self.options[0]
+    wildcard: bool  # else options holds the one chosen pair
 
 
 def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optional[list[tuple[int, int]]]:
@@ -68,7 +67,7 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
     taken: set[int] = set()
     for g in gains:
         if not g.wildcard:
-            c, _ = g.chosen()
+            c, _ = g.options[0]
             if c in taken or c not in allowed:
                 return None
             taken.add(c)
@@ -104,7 +103,7 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
             out.append(pick[wi])
             wi += 1
         else:
-            out.append(g.chosen())
+            out.append(g.options[0])
     return out
 
 
@@ -181,13 +180,15 @@ class _Augmenter:
         return split
 
     def _search_from(self, v0: int, depth: int, budget: _Budget, c0: set[int]
-                     ) -> Optional[tuple[list[_Gain], list[int]]]:
-        heavy = self.cfg.heavy_threshold
+                     ) -> Optional[tuple[list[int], list[tuple[int, int]]]]:
+        """(matching edge ids to remove, (color, edge id) per gain step) of
+        the first improving path from v0 within depth, or None."""
         gains: list[_Gain] = []
         removed: list[int] = []  # matching edge ids along the path
         freed: set[int] = set()
         on_path: set[int] = {v0}
         committed: set[int] = set()
+        found: list[tuple[int, int]] = []  # the validated color assignment
 
         def dfs(x: int, length: int) -> bool:
             if not budget.spend():
@@ -203,8 +204,10 @@ class _Augmenter:
                 opts = [ce for ce in opts if ce[0] in allowed]
                 if not opts:
                     continue
-                gains.append(_Gain(x, y, opts, len(opts) >= heavy))
-                if _assign_colors(gains, freed, c0) is not None:
+                gains.append(_Gain(opts, len(opts) >= HEAVY_THRESHOLD))
+                assignment = _assign_colors(gains, freed, c0)
+                if assignment is not None:
+                    found.extend(assignment)
                     return True
                 gains.pop()
             if length + 2 > depth:
@@ -217,9 +220,9 @@ class _Augmenter:
                 opts = [ce for ce in opts if ce[0] in allowed]
                 if not opts:
                     continue
-                wildcard = len(opts) >= heavy
+                wildcard = len(opts) >= HEAVY_THRESHOLD
                 for c, eid in (opts if not wildcard else [opts[0]]):
-                    gains.append(_Gain(x, y, opts if wildcard else [(c, eid)], wildcard))
+                    gains.append(_Gain(opts if wildcard else [(c, eid)], wildcard))
                     if not wildcard:
                         committed.add(c)
                     removed.append(meid)
@@ -239,30 +242,19 @@ class _Augmenter:
             return False
 
         if dfs(v0, 1):
-            return gains, removed
+            return removed, found
         return None
 
-    def _apply(self, gains: list[_Gain], removed: list[int], c0: set[int]) -> None:
-        freed = {self.edge_color[meid] for meid in removed}
-        assignment = _assign_colors(gains, freed, c0)
-        if assignment is None:
-            raise RuntimeError("path was validated before application")
+    def _apply(self, removed: list[int], assignment: list[tuple[int, int]]) -> None:
         for meid in removed:
             u, v, _ = self.graph.edges[meid]
             del self.match_at[u]
             del self.match_at[v]
             del self.edge_color[meid]
-        for g, (c, eid) in zip(gains, assignment):
-            # the stored edge id may carry a different color; pick the parallel
-            # copy of the assigned color
-            u, v, ec = self.graph.edges[eid]
-            if ec != c:
-                eid = next(e for e in self.graph.incident[g.x]
-                           if self.graph.edges[e][2] == c
-                           and {self.graph.edges[e][0], self.graph.edges[e][1]}
-                           == {g.x, g.y})
-            self.match_at[g.x] = eid
-            self.match_at[g.y] = eid
+        for c, eid in assignment:
+            u, v, _ = self.graph.edges[eid]
+            self.match_at[u] = eid
+            self.match_at[v] = eid
             self.edge_color[eid] = c
 
     def improve_once(self, budget: _Budget) -> bool:
@@ -276,7 +268,7 @@ class _Augmenter:
             for v0 in free_vertices:
                 found = self._search_from(v0, depth, budget, c0)
                 if found is not None:
-                    self._apply(*found, c0)
+                    self._apply(*found)
                     return True
                 if budget.exhausted:
                     return False

@@ -22,7 +22,7 @@ import time
 from typing import Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
-from .augment import AugmentConfig, augment
+from .augment import augment
 from .greedy import greedy_maximal
 
 
@@ -57,8 +57,7 @@ def exact_max_rainbow(graph: ColoredMultigraph,
     seeded with greedy + augmentation, so the result never trails the
     heuristics.
     """
-    seed_matching = augment(graph, greedy_maximal(graph, "rare_color_first", 0),
-                            AugmentConfig(seed=0))
+    seed_matching = augment(graph, greedy_maximal(graph, "rare_color_first"))
     best_pairs = list(seed_matching.pairs)
     best_size = len(best_pairs)
 

@@ -58,14 +58,17 @@ class _Expander:
 
     # -- reconfiguration ---------------------------------------------------
 
-    def _build_levels(self) -> tuple[dict[int, int], Optional[tuple[int, int, int]]]:
+    def _build_levels(self, m: int
+                      ) -> tuple[dict[int, int], Optional[tuple[int, int, int]]]:
         """Level map over free vertices (0) and released partners (1, 2, ...).
 
-        Returns the levels and, if present, an edge (u, v, eid) with both
-        endpoints levelled: the augmentation opportunity.
+        A matching edge's partner is levelled once the other endpoint has at
+        least m + 1 edges into levelled vertices, m being the graph's realized
+        maximum pair multiplicity (at least 1).  Returns the levels and, if
+        present, an edge (u, v, eid) with both endpoints levelled: the
+        augmentation opportunity.
         """
         g = self.graph
-        m = max(1, g.max_multiplicity())
         level: dict[int, int] = {v: 0 for v in range(g.n_vertices)
                                  if v not in self.mate}
         unassigned = set(self.match_edge.values())
@@ -171,7 +174,7 @@ def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None) -> list
         iterations += 1
         if iterations > cap:
             raise AugmentationStalled(f"iteration cap {cap} reached at size {exp.size}")
-        level, hit = exp._build_levels()
+        level, hit = exp._build_levels(realized)
         if hit is None:
             raise AugmentationStalled(
                 f"no augmentation found at size {exp.size} (expected by hypothesis)")

@@ -11,7 +11,7 @@ Grinblat); two_factor.alspach_solve plugs in the auxiliary-hypergraph nibble.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -34,7 +34,7 @@ class SamplingConfig:
     p: float = 0.5
     max_resamples: int = 5
     seed: int = 0
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    max_depth: int = AugmentConfig.max_depth  # of the weak and the repair augment
 
 
 @dataclass
@@ -87,12 +87,14 @@ def sample_and_complete(
         graph: ColoredMultigraph, p: float,
         weak: Callable[[ColoredMultigraph, SampleSplit, int, PhaseLog],
                        tuple[list[tuple[int, int]], bool]],
-        augment_cfg: AugmentConfig, seed: int, max_resamples: int) -> SolveReport:
+        seed: int, max_resamples: int,
+        max_depth: int = AugmentConfig.max_depth) -> SolveReport:
     """Run split / weak solve / complete / repair with bounded resampling.
 
     weak(graph, split, seed, log) solves outside split.sample and returns
     (pairs in graph edge ids, whether a node budget ran out).  Attempt i uses
-    derive_seed(seed, "attempt", i).  Resamples until the matching is full or
+    derive_seed(seed, "attempt", i); its repair augments paths of at most
+    max_depth edges.  Resamples until the matching is full or
     max_resamples attempts are spent; the first matching with the most colors
     is reported.
     """
@@ -118,7 +120,8 @@ def sample_and_complete(
 
         if stuck is not None:
             before = len(combined)
-            repair_cfg = replace(augment_cfg, seed=derive_seed(sub_seed, "repair"))
+            repair_cfg = AugmentConfig(max_depth=max_depth,
+                                       seed=derive_seed(sub_seed, "repair"))
             combined, ex = augment_flagged(graph, combined, repair_cfg)
             exhausted = exhausted or ex
             log.append(("repair_augment", before, len(combined)))
@@ -132,15 +135,15 @@ def sample_and_complete(
                        budget_exhausted=exhausted, seed=seed)
 
 
-def _greedy_augment(augment_cfg: AugmentConfig, graph: ColoredMultigraph,
+def _greedy_augment(max_depth: int, graph: ColoredMultigraph,
                     split: SampleSplit, seed: int,
                     log: PhaseLog) -> tuple[list[tuple[int, int]], bool]:
     """Weak solver: scarcest-color greedy, then augment, on the rest."""
     rest_graph, rest_map = restrict_with_map(graph, split.rest)
-    matching = greedy_maximal(rest_graph, "rare_color_first", derive_seed(seed, "greedy"))
+    matching = greedy_maximal(rest_graph, "rare_color_first")
     log.append(("weak_greedy", 0, len(matching)))
     before = len(matching)
-    aug_cfg = replace(augment_cfg, seed=derive_seed(seed, "augment"))
+    aug_cfg = AugmentConfig(max_depth=max_depth, seed=derive_seed(seed, "augment"))
     matching, exhausted = augment_flagged(rest_graph, matching, aug_cfg)
     log.append(("weak_augment", before, len(matching)))
     return _lift(matching.pairs, rest_map), exhausted
@@ -148,5 +151,5 @@ def _greedy_augment(augment_cfg: AugmentConfig, graph: ColoredMultigraph,
 
 def sampling_solve(graph: ColoredMultigraph, cfg: SamplingConfig) -> SolveReport:
     """Sampling trick with greedy + augment as the weak solver."""
-    return sample_and_complete(graph, cfg.p, partial(_greedy_augment, cfg.augment),
-                               cfg.augment, cfg.seed, cfg.max_resamples)
+    return sample_and_complete(graph, cfg.p, partial(_greedy_augment, cfg.max_depth),
+                               cfg.seed, cfg.max_resamples, cfg.max_depth)

@@ -15,7 +15,6 @@ import time
 from ..errors import NotTwoFactorized
 from ..graph import ColoredMultigraph, ColorClassKind, SampleSplit, validate
 from ..seeding import derive_seed
-from .augment import AugmentConfig
 from .greedy import greedy_maximal
 from .hypergraph import build_aux_hypergraph, nibble_match
 from .sampling import PhaseLog, SolveReport, sample_and_complete
@@ -52,8 +51,8 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
 
     if graph.n_vertices >= 4 * d:
         start = time.perf_counter()
-        matching = greedy_maximal(graph, "rare_color_first", derive_seed(seed, "greedy"))
+        matching = greedy_maximal(graph, "rare_color_first")
         return SolveReport.single_phase("greedy", matching, d, seed, start)
 
     return sample_and_complete(graph, 1.0 - 2.0 * d / graph.n_vertices, _nibble,
-                               AugmentConfig(), seed, max_resamples)
+                               seed, max_resamples)

@@ -120,7 +120,7 @@ def _oracle(make: Callable[[int, int], ColoredMultigraph], offset: int = 1) -> C
 
 def _check_grinblat_weak(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     graph = gen_grinblat(n, 3 * n, n, iseed)
-    size = len(greedy_maximal(graph, "rare_color_first", sseed))
+    size = len(greedy_maximal(graph, "rare_color_first"))
     floor_bound = n - math.isqrt(n)
     return size >= floor_bound, float(size - floor_bound)
 
@@ -226,6 +226,8 @@ def sweep_surplus(family: str, n: int, surplus_values: list[int],
     _check_domain([n], trials)
     if not surplus_values:
         raise ValueError("no surplus values given")
+    if len(set(surplus_values)) < len(surplus_values):
+        raise ValueError(f"surplus values must be distinct, got {surplus_values}")
     rows = []
     for surplus in surplus_values:
         wins = 0

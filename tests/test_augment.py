@@ -127,9 +127,9 @@ def test_heavy_pairs_take_the_wildcard_branch(monkeypatch):
     wildcards = []
     gain = augment_module._Gain
 
-    def counting_gain(x, y, options, wildcard):
+    def counting_gain(options, wildcard):
         wildcards.append(wildcard)
-        return gain(x, y, options, wildcard)
+        return gain(options, wildcard)
 
     monkeypatch.setattr(augment_module, "_Gain", counting_gain)
     g = _heavy_multigraph(0, 14, 16, 30)

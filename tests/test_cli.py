@@ -356,3 +356,10 @@ def test_verify_refuses_cells_it_cannot_check(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_sweep_refuses_repeated_surplus(capsys):
+    code, out, err = run(["sweep", "--family", "ab_bipartite", "--n", "8",
+                          "--surplus", "4,4", "--trials", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: surplus values must be distinct, got [4, 4]\n"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -59,3 +61,35 @@ def test_try_complete_reports_first_stuck_color():
     matching, stuck = try_complete(g, [0, 1])
     assert len(matching) == 1
     assert stuck in (0, 1)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# digests of the pairs in placement order
+@pytest.mark.parametrize("make, digest", [
+    # the benchmark's grinblat_weak verify cell size
+    (lambda: gen_grinblat(400, 1200, 400, 0),
+     "e2c07dd1d7b5ca2c0b7f429e440126fa5d073c7bdec62a607b9d08836ccd772e"),
+    (lambda: gen_ab(128, 0, True, 0),
+     "a88ceb31a408900a8d53f750c4d4ba14f90c965a495833314435d80663e7fffc"),
+    # 11 of 12 colours: some colour runs out of live edges on the way
+    (lambda: gen_latin(12, "random", 3),
+     "99987ec99c24417c40c7e8540e0c080b895a3f93ee6188cef4410c63e8733c63"),
+], ids=["grinblat400", "ab128", "latin12"])
+def test_rare_color_first_is_pinned(make, digest):
+    assert _digest(greedy_maximal(make(), "rare_color_first").pairs) == digest
+
+
+# digests of (pairs in placement order, stuck colour)
+@pytest.mark.parametrize("make, missing, digest", [
+    (lambda: gen_grinblat(40, 120, 40, 1), range(1, 40, 2),
+     "c11e15b864ec1a180e970e22908e0fc95d17343acdc2378cbd8ae62e63839562"),
+    # places 7 colours, then colour 9 has no disjoint edge left
+    (lambda: gen_latin(12, "random", 3), range(12),
+     "94a43aa1c7d1c8f233fa43c134e6e9bdf3eb2c445bd8023d66ddb35df281f81d"),
+], ids=["completes", "stuck"])
+def test_try_complete_is_pinned(make, missing, digest):
+    matching, stuck = try_complete(make(), missing)
+    assert _digest([matching.pairs, stuck]) == digest
