@@ -2,12 +2,11 @@
 verification harness."""
 
 from .errors import (AugmentationStalled, GenerationStuck, HypothesisViolated,
-                     NotCliqueUnion, NotTwoFactorized, ParameterViolation,
-                     RainbowError)
+                     NotTwoFactorized, ParameterViolation, RainbowError)
 from .graph import (CliqueDecomposition, ColorClassKind, ColoredMultigraph,
                     RainbowMatching, SampleSplit, ValidationReport,
-                    clique_decompose, draw_sample_split, is_rainbow_matching,
-                    load_instance, restrict_with_map, save_instance, validate)
+                    draw_sample_split, is_rainbow_matching, load_instance,
+                    restrict_with_map, save_instance, validate)
 from .generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
                          gen_multiplicity_lb, gen_triangle_lb, gen_two_factorized,
                          gen_two_k4)

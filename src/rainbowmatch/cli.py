@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -29,18 +28,6 @@ from .solvers import (AugmentConfig, SamplingConfig, SolveReport,
                       alspach_solve, augment, default_p, exact_max_rainbow,
                       greedy_maximal, sampling_solve)
 from .verification import PIPELINES, THEOREMS, check, sweep_surplus
-
-_DURATION_RE = re.compile(r"^(\d+)(s|ms)$")
-
-def parse_duration(text: str) -> float:
-    """`<int><s|ms>` to seconds."""
-    m = _DURATION_RE.match(text)
-    if not m:
-        raise argparse.ArgumentTypeError(
-            f"duration {text!r} must match <int>s or <int>ms")
-    value = int(m.group(1))
-    return value / 1000.0 if m.group(2) == "ms" else float(value)
-
 
 def _parse_int_list(text: str) -> list[int]:
     try:
@@ -161,7 +148,7 @@ def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
 def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
                  seed: int) -> SolveReport:
     start = time.perf_counter()
-    _, matching, certified = exact_max_rainbow(graph, args.time_limit)
+    _, matching, certified = exact_max_rainbow(graph, args.node_budget)
     return SolveReport.single_phase("exact", matching, graph.n_colors, seed, start,
                                     optimal=certified)
 
@@ -233,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", default="auto", help="sampling probability or 'auto'")
     s.add_argument("--depth", type=int, default=9)
     s.add_argument("--resamples", type=int, default=5)
-    s.add_argument("--time-limit", type=parse_duration, default=None,
-                   metavar="DUR", help="e.g. 30s or 1500ms (exact solver)")
+    s.add_argument("--node-budget", type=_positive_int, default=None,
+                   metavar="N", help="search nodes before the exact solver "
+                   "stops uncertified (default: no limit)")
     s.add_argument("-o", "--out", default=None)
     s.add_argument("instance")
     common(s)

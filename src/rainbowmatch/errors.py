@@ -5,10 +5,6 @@ class RainbowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotCliqueUnion(RainbowError):
-    """A colour class expected to be a disjoint union of cliques is not."""
-
-
 class NotTwoFactorized(RainbowError):
     """The instance does not have 2-factor colour classes."""
 

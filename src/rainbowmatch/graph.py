@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import InvalidInstance, NotCliqueUnion
+from .errors import InvalidInstance
 
 
 class ColorClassKind(Enum):
@@ -148,7 +148,6 @@ class CliqueDecomposition:
 
 @dataclass
 class ValidationReport:
-    kind: ColorClassKind
     valid: bool
     witnesses: list[tuple[int, int]]  # (color, vertex); side violations use color -1
     decompositions: dict[int, CliqueDecomposition] = field(default_factory=dict)
@@ -183,28 +182,20 @@ def _components(adj: dict[int, set[int]]) -> list[list[int]]:
     return comps
 
 
-def clique_decompose(graph: ColoredMultigraph, color: int) -> CliqueDecomposition:
-    """Split a clique-union color class into K2/K3 cliques on the same vertex set.
+def _split_cliques(color: int, comps: list[list[int]]) -> CliqueDecomposition:
+    """K2/K3 cliques on the vertices of sorted clique components.
 
-    Each clique component of r vertices becomes floor(r/2) pair edges plus one
-    triangle iff r is odd, grouping vertices in ascending id order so the
-    decomposition is deterministic.
+    An odd component gives a triangle on its three lowest ids; the rest of
+    each component pairs up in ascending id order.
     """
-    adj = _color_support(graph, color)
-    triangles: list[tuple[int, int, int]] = []
-    pair_edges: list[tuple[int, int]] = []
-    for comp in _components(adj):
-        for x in comp:
-            if adj[x] != set(comp) - {x}:
-                raise NotCliqueUnion(
-                    f"color {color}: component {comp} is not a clique (vertex {x})")
+    deco = CliqueDecomposition(color, [], [])
+    for comp in comps:
         rest = comp
-        if len(comp) % 2 == 1:
-            triangles.append(tuple(comp[:3]))
+        if len(comp) % 2:
+            deco.triangles.append(tuple(comp[:3]))
             rest = comp[3:]
-        for i in range(0, len(rest), 2):
-            pair_edges.append((rest[i], rest[i + 1]))
-    return CliqueDecomposition(color=color, triangles=triangles, pair_edges=pair_edges)
+        deco.pair_edges.extend(zip(rest[::2], rest[1::2]))
+    return deco
 
 
 def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport:
@@ -212,7 +203,8 @@ def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport
 
     Violations are collected as (color, vertex) witnesses rather than raised.
     When the bipartition tag is present, same-side edges are reported with
-    color -1 regardless of kind.
+    color -1 regardless of kind.  Each clique-union color without witnesses
+    is split into K2/K3 cliques from the same components.
     """
     witnesses: list[tuple[int, int]] = []
     decompositions: dict[int, CliqueDecomposition] = {}
@@ -223,7 +215,7 @@ def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport
                 witnesses.append((-1, u))
 
     if kind is ColorClassKind.ARBITRARY:
-        return ValidationReport(kind, not witnesses, witnesses)
+        return ValidationReport(not witnesses, witnesses)
 
     for c in range(graph.n_colors):
         if kind is ColorClassKind.MATCHING:
@@ -235,8 +227,9 @@ def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport
             witnesses.extend((c, x) for x, d in sorted(degree.items()) if d > 1)
         elif kind is ColorClassKind.CLIQUE_UNION:
             adj = _color_support(graph, c)
+            comps = _components(adj)
             bad = False
-            for comp in _components(adj):
+            for comp in comps:
                 want = set(comp)
                 for x in comp:
                     missing = (want - {x}) - adj[x]
@@ -244,7 +237,7 @@ def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport
                         witnesses.append((c, min(missing)))
                         bad = True
             if not bad:
-                decompositions[c] = clique_decompose(graph, c)
+                decompositions[c] = _split_cliques(c, comps)
         elif kind is ColorClassKind.TWO_FACTOR:
             degree = [0] * graph.n_vertices
             for eid in graph.color_edges[c]:
@@ -253,7 +246,7 @@ def validate(graph: ColoredMultigraph, kind: ColorClassKind) -> ValidationReport
                 degree[v] += 1
             witnesses.extend((c, x) for x in range(graph.n_vertices) if degree[x] != 2)
 
-    return ValidationReport(kind, not witnesses, witnesses, decompositions)
+    return ValidationReport(not witnesses, witnesses, decompositions)
 
 
 def restrict_with_map(graph: ColoredMultigraph,

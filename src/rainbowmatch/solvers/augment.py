@@ -301,7 +301,7 @@ def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
     """augment variant also reporting whether the node budget ran out."""
     if cfg is None:
         cfg = AugmentConfig()
-    if cfg.max_depth < 1:
-        raise ValueError("max_depth >= 1 required")
+    if cfg.max_depth < 3 or cfg.max_depth % 2 == 0:
+        raise ValueError(f"max_depth must be odd and at least 3, got {cfg.max_depth}")
     aug = _Augmenter(graph, matching, cfg)
     return aug.run()

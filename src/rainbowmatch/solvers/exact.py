@@ -11,14 +11,13 @@ covering or freeing a vertex touches only its incident edges.  The packing
 bound is computed only when the live-color bound does not prune, by a BFS over
 vertex bitmasks: each vertex keeps a mask of the vertices it shares a pair with
 that still carries an unbanned color.  The search runs on an explicit stack of
-frames, so its depth is not capped by the recursion limit.  A node budget makes
-"certified" a pure function of the instance; a time limit is only an outer
-safety net.
+frames, so its depth is not capped by the recursion limit.  The search stops
+on a node budget alone, so "certified" is a pure function of the instance and
+the budget, never of the clock.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
@@ -47,15 +46,13 @@ def _packing_bound(free: int, nbr: list[int]) -> int:
 
 
 def exact_max_rainbow(graph: ColoredMultigraph,
-                      time_limit: Optional[float] = None,
                       node_budget: Optional[int] = None
                       ) -> tuple[int, RainbowMatching, bool]:
     """(optimum size, witness matching, certified flag).
 
     certified is True iff the search ran to completion within node_budget
-    nodes and time_limit seconds (None means no limit).  The incumbent is
-    seeded with greedy + augmentation, so the result never trails the
-    heuristics.
+    nodes (None means no limit).  The incumbent is seeded with greedy +
+    augmentation, so the result never trails the heuristics.
     """
     seed_matching = augment(graph, greedy_maximal(graph, "rare_color_first"))
     best_pairs = list(seed_matching.pairs)
@@ -63,7 +60,6 @@ def exact_max_rainbow(graph: ColoredMultigraph,
 
     edges = graph.edges
     n_colors = graph.n_colors
-    deadline = None if time_limit is None else time.monotonic() + time_limit
 
     # live edges: both ends free; count[c] ignores bans, which the scan applies
     free = bytearray(b"\x01" * graph.n_vertices)
@@ -119,14 +115,12 @@ def exact_max_rainbow(graph: ColoredMultigraph,
     # one frame per open branching: [color, its live edge ids, next branch];
     # branch i < len(ids) takes ids[i], branch len(ids) skips the color
     frames: list[list] = []
-    timed_out = False
-    ticks = 0
+    out_of_budget = False
+    nodes = 0
     while True:
-        ticks += 1
-        if ((node_budget is not None and ticks > node_budget)
-                or (deadline is not None and ticks % 64 == 0
-                    and time.monotonic() > deadline)):
-            timed_out = True
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            out_of_budget = True
             break
         size = len(stack)
         if size > best_size:
@@ -170,4 +164,4 @@ def exact_max_rainbow(graph: ColoredMultigraph,
             frames.pop()
         else:
             break
-    return best_size, RainbowMatching(pairs=sorted(best_pairs)), not timed_out
+    return best_size, RainbowMatching(pairs=sorted(best_pairs)), not out_of_budget

@@ -17,17 +17,6 @@ from ..errors import AugmentationStalled, HypothesisViolated
 from ..graph import ColoredMultigraph, ColorClassKind, validate
 
 
-def _color_spans(graph: ColoredMultigraph) -> list[int]:
-    spans = []
-    for c in range(graph.n_colors):
-        support: set[int] = set()
-        for eid in graph.color_edges[c]:
-            u, v, _ = graph.edges[eid]
-            support.update((u, v))
-        spans.append(len(support))
-    return spans
-
-
 class _Expander:
     def __init__(self, graph: ColoredMultigraph):
         self.graph = graph
@@ -161,7 +150,8 @@ def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None) -> list
     elif realized > m:
         raise HypothesisViolated(f"multiplicity {realized} exceeds cap {m}")
     n = graph.n_colors
-    short = [c for c, s in enumerate(_color_spans(graph)) if s < 2 * n + 2 * m]
+    short = [c for c, deco in report.decompositions.items()
+             if deco.spanned_vertices < 2 * n + 2 * m]
     if short:
         raise HypothesisViolated(
             f"colors {short[:5]} span fewer than 2n+2m = {2 * n + 2 * m} vertices")
@@ -241,9 +231,10 @@ def edge_disjoint_matchings(graph: ColoredMultigraph,
     """Repeatedly extract full-size matchings, deleting each one's edges and
     dropping colors it used more than sqrt(n) times.
 
-    Stops early when the spanning hypothesis degrades below 2n+2m.  Returned
-    matchings are lists of source-graph edge ids with empty pairwise
-    intersections.
+    Stops early when the spanning hypothesis degrades below 2n+2m: the
+    working instance is always K2/K3 cliques, so that is the only hypothesis
+    expander_matching can find violated.  Returned matchings are lists of
+    source-graph edge ids with empty pairwise intersections.
     """
     n0 = graph.n_colors
     active = set(range(n0))
@@ -252,11 +243,10 @@ def edge_disjoint_matchings(graph: ColoredMultigraph,
     results: list[list[int]] = []
     while len(results) < count_target and active:
         sub, ids = state.build(active)
-        spans = _color_spans(sub)
-        m = max(1, sub.max_multiplicity())
-        if any(s < 2 * sub.n_colors + 2 * m for s in spans):
+        try:
+            local = expander_matching(sub)
+        except HypothesisViolated:
             break
-        local = expander_matching(sub)
         orig = [ids[eid] for eid in local]
         results.append(sorted(orig))
         used_per_color: dict[int, int] = {}

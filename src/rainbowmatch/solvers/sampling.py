@@ -100,12 +100,14 @@ def sample_and_complete(
     """
     if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
+    if max_resamples < 1:
+        raise ValueError(f"max_resamples must be at least 1, got {max_resamples}")
     start = time.perf_counter()
     log: PhaseLog = []
     seeds: list[int] = []
     best = RainbowMatching()
     exhausted = False
-    for attempt in range(max(1, max_resamples)):
+    for attempt in range(max_resamples):
         sub_seed = derive_seed(seed, "attempt", attempt)
         seeds.append(sub_seed)
         split = draw_sample_split(graph, p, derive_seed(sub_seed, "split"))

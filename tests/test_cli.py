@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch.cli import SOLVERS, build_parser, main, parse_duration
+from rainbowmatch.cli import SOLVERS, build_parser, main
 from rainbowmatch.generators import FAMILIES
 from rainbowmatch.graph import RainbowMatching
 from rainbowmatch.solvers import SolveReport
@@ -19,13 +19,6 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_duration_parser():
-    assert parse_duration("30s") == 30.0
-    assert parse_duration("1500ms") == 1.5
-    with pytest.raises(Exception):
-        parse_duration("5m")
 
 
 def test_generate_is_byte_deterministic(tmp_path, capsys):
@@ -96,16 +89,35 @@ def test_solve_report_schema(tmp_path, capsys):
     assert doc["manifest"]["input_digest"]
 
 
-@pytest.mark.parametrize("solver", ["greedy", "augment", "sampling"])
-def test_solvers_run_from_cli(solver, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["greedy"], ["augment"], ["sampling"],
+                                  ["augment", "--depth", "3"]],
+                         ids=["greedy", "augment", "sampling", "augment-depth-3"])
+def test_solvers_run_from_cli(argv, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
          "--seed", "3", "-o", str(inst)], capsys)
-    code, out, _ = run(["solve", "--solver", solver, "--seed", "1", str(inst)],
+    code, out, _ = run(["solve", "--solver", *argv, "--seed", "1", str(inst)],
                        capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["size"] >= 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--solver", "augment", "--depth", "2"], "max_depth must be odd and at least 3, got 2"),
+    (["--solver", "augment", "--depth", "4"], "max_depth must be odd and at least 3, got 4"),
+    (["--solver", "sampling", "--depth", "1"], "max_depth must be odd and at least 3, got 1"),
+    (["--solver", "sampling", "--resamples", "0"],
+     "max_resamples must be at least 1, got 0"),
+], ids=["augment-depth-2", "augment-depth-4", "sampling-depth-1", "sampling-resamples-0"])
+def test_search_knobs_out_of_range_exit_2(tmp_path, capsys, argv, message):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
+         "--seed", "3", "-o", str(inst)], capsys)
+    code, out, err = run(["solve", *argv, "-o", str(report), str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not report.exists()
 
 
 def test_lemma41_is_not_a_solver(tmp_path, capsys):
@@ -154,6 +166,32 @@ def test_alspach_solver_from_cli(tmp_path, capsys):
     code, out, _ = run(["solve", "--solver", "alspach", str(inst)], capsys)
     assert code == 0
     assert json.loads(out)["defect"] == 0
+
+
+def test_alspach_refuses_resamples_below_one(tmp_path, capsys):
+    # 11 vertices < 4d, so alspach runs the resampling pipeline
+    inst, report = tmp_path / "circ.json", tmp_path / "report.json"
+    run(["generate", "--family", "circulant_two_factor", "--d", "5",
+         "--seed", "3", "-o", str(inst)], capsys)
+    code, out, err = run(["solve", "--solver", "alspach", "--resamples", "-1",
+                          "-o", str(report), str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: max_resamples must be at least 1, got -1\n"
+    assert not report.exists()
+
+
+def test_exact_node_budget(tmp_path, capsys):
+    # the order-6 cyclic square needs 182 search nodes to certify its optimum
+    inst = tmp_path / "inst.json"
+    run(["generate", "--family", "latin_cayley", "--n", "6", "--seed", "3",
+         "-o", str(inst)], capsys)
+    for budget, optimal in (("181", False), ("182", True)):
+        code, out, _ = run(["solve", "--solver", "exact", "--node-budget", budget,
+                            str(inst)], capsys)
+        assert code == 0 and json.loads(out)["optimal"] is optimal
+    code, out, err = run(["solve", "--solver", "exact", "--node-budget", "0",
+                          str(inst)], capsys)
+    assert code == 2 and out == "" and "--node-budget: must be at least 1" in err
 
 
 def test_verify_exit_codes(capsys):

@@ -75,7 +75,7 @@ def test_known_optima():
 
 
 def test_certified_flags_set():
-    size, _, certified = exact_max_rainbow(gen_two_k4(), time_limit=60.0)
+    size, _, certified = exact_max_rainbow(gen_two_k4())
     assert certified and size == 2
 
 

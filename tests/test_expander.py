@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from rainbowmatch.errors import HypothesisViolated
 from rainbowmatch.generators import gen_grinblat, gen_triangle_lb
 from rainbowmatch.graph import ColoredMultigraph
 from rainbowmatch.solvers import edge_disjoint_matchings, expander_matching
+from rainbowmatch.solvers.expander import _Expander
 
 
 def assert_matching(graph, edge_ids):
@@ -76,3 +78,32 @@ def test_disjoint_matchings_across_seeds():
             assert_matching(g, ms[i])
             for j in range(i + 1, len(ms)):
                 assert not (set(ms[i]) & set(ms[j]))
+
+
+def _round_robin_colors(n, seed):
+    """n shuffled factors of the round-robin 1-factorisation of K_{2n+2}.
+
+    Every colour is a perfect matching, so each spans 2n+2 = 2n+2m vertices
+    at m = 1: the expander's hypothesis holds with no slack.
+    """
+    big = 2 * n + 2
+    factors = [[(big - 1, r)] + [((r + k) % (big - 1), (r - k) % (big - 1))
+                                 for k in range(1, big // 2)]
+               for r in range(big - 1)]
+    rng = random.Random(seed)
+    rng.shuffle(factors)
+    edges = [(min(u, v), max(u, v), c) for c, factor in enumerate(factors[:n])
+             for u, v in factor]
+    rng.shuffle(edges)
+    return ColoredMultigraph(big, n, edges)
+
+
+@pytest.mark.parametrize("n,seed", [(10, 150), (20, 8)])
+def test_reconfiguration_completes_a_stuck_greedy_matching(n, seed):
+    g = _round_robin_colors(n, seed)
+    greedy = _Expander(g)
+    greedy.extend_greedy()
+    assert greedy.size == n - 1
+    ids = expander_matching(g)
+    assert len(ids) == n
+    assert_matching(g, ids)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rainbowmatch.graph import (ColorClassKind,
                                 ColoredMultigraph, RainbowMatching,
-                                clique_decompose, draw_sample_split,
+                                draw_sample_split,
                                 is_rainbow_matching, load_instance,
                                 restrict_with_map, save_instance, validate)
 
@@ -91,11 +91,14 @@ def test_sides_violations_reported_with_color_minus_one():
 
 
 def test_clique_decompose_splits_k4_and_k5():
+    def deco_of(graph):
+        return validate(graph, ColorClassKind.CLIQUE_UNION).decompositions[0]
+
     k4 = [(a, b, 0) for a in range(4) for b in range(a + 1, 4)]
-    deco = clique_decompose(ColoredMultigraph(4, 1, k4), 0)
+    deco = deco_of(ColoredMultigraph(4, 1, k4))
     assert len(deco.triangles) == 0 and len(deco.pair_edges) == 2
     k5 = [(a, b, 0) for a in range(5) for b in range(a + 1, 5)]
-    deco5 = clique_decompose(ColoredMultigraph(5, 1, k5), 0)
+    deco5 = deco_of(ColoredMultigraph(5, 1, k5))
     assert len(deco5.triangles) == 1 and len(deco5.pair_edges) == 1
     assert deco5.spanned_vertices == 5
 
