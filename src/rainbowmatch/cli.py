@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -19,10 +18,10 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .errors import RainbowError, RefusedReport
+from .errors import InvalidInstance, RainbowError, RefusedReport
 from .generators import FAMILIES
-from .graph import (ColoredMultigraph, is_rainbow_matching, load_instance,
-                    save_instance)
+from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
+                    load_instance, save_instance)
 from .seeding import derive_seed
 from .solvers import (AugmentConfig, SamplingConfig, SolveReport,
                       alspach_solve, augment, default_p, exact_max_rainbow,
@@ -55,17 +54,13 @@ def _deterministic_run() -> bool:
 
 
 def build_manifest(argv: list[str], seed: int,
-                   input_path: Optional[str] = None) -> dict:
-    digest = None
-    if input_path is not None:
-        with open(input_path, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
+                   input_digest: Optional[str] = None) -> dict:
     return {
         "command_line": " ".join(argv),
         "tool_version": __version__,
         "global_seed": seed,
         "timestamp": _timestamp(),
-        "input_digest": digest,
+        "input_digest": input_digest,
     }
 
 
@@ -142,7 +137,8 @@ def _solve_sampling(graph: ColoredMultigraph, args: argparse.Namespace,
 
 def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
-    return alspach_solve(graph, seed=seed, max_resamples=args.resamples)
+    return alspach_solve(graph, seed=seed, max_resamples=args.resamples,
+                         max_depth=args.depth)
 
 
 def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
@@ -157,10 +153,27 @@ SOLVERS = {"greedy": _solve_greedy, "augment": _solve_augment,
            "sampling": _solve_sampling, "alspach": _solve_alspach,
            "exact": _solve_exact}
 
+# the declared kinds a solver takes, where it cannot take every kind
+_SOLVER_KINDS = {"alspach": (ColorClassKind.TWO_FACTOR, ColorClassKind.ARBITRARY)}
+
+
+def _check_search_knobs(args: argparse.Namespace) -> None:
+    """--depth and --resamples, refused for every solver before the input is read."""
+    if args.depth < 3 or args.depth % 2 == 0:
+        raise ValueError(f"max_depth must be odd and at least 3, got {args.depth}")
+    if args.resamples < 1:
+        raise ValueError(f"max_resamples must be at least 1, got {args.resamples}")
+
 
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
+    _check_search_knobs(args)
     seed = _resolve_seed(args)
-    graph, _ = load_instance(args.instance)
+    graph, kind, digest = load_instance(args.instance)
+    accepted = _SOLVER_KINDS.get(args.solver)
+    if accepted is not None and kind not in accepted:
+        raise InvalidInstance(
+            f"{args.instance}: solver {args.solver!r} takes kind "
+            f"{' or '.join(k.value for k in accepted)}, not {kind.value}")
     report = SOLVERS[args.solver](graph, args, seed)
     ok, why = is_rainbow_matching(graph, report.matching)
     if not ok:
@@ -170,7 +183,7 @@ def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
     doc = report.to_json_dict(graph)
     if _deterministic_run():
         doc["elapsed_ms"] = 0
-    doc["manifest"] = build_manifest(argv, seed, args.instance)
+    doc["manifest"] = build_manifest(argv, seed, digest)
     emit(doc, args.format, args.out)
     return 0
 

@@ -7,10 +7,13 @@ objects and pair multiplicities are exact.
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import InvalidInstance
@@ -100,37 +103,103 @@ class ColoredMultigraph:
         return doc
 
 
+# edges (and sides) per %-template when an instance file is written
+_BLOCK = 1024
+_HEADER = ('{\n  "n_vertices": %d,\n  "n_colors": %d,\n  "kind": "%s",\n'
+           '  "edges": ')
+_EDGE = "    [\n      %d,\n      %d,\n      %d\n    ]"
+_SIDE = "    %d"
+
+
+def _write_int_list(f, items: list, item: str, flat) -> None:
+    """One indent=2 JSON list, two levels deep, in blocks of _BLOCK items.
+
+    item formats one entry from its ints; flat(block) gives a block's ints.
+    """
+    if not items:
+        f.write("[]")
+        return
+    full = ",\n".join([item] * _BLOCK)
+    sep = "[\n"
+    for start in range(0, len(items), _BLOCK):
+        block = items[start:start + _BLOCK]
+        template = full if len(block) == _BLOCK else ",\n".join([item] * len(block))
+        f.write(sep)
+        f.write(template % flat(block))
+        sep = ",\n"
+    f.write("\n  ]")
+
+
 def save_instance(graph: ColoredMultigraph, path: str,
                   kind: ColorClassKind = ColorClassKind.ARBITRARY) -> None:
+    """Write the bytes of json.dump(graph.to_json_dict(kind), indent=2) + newline.
+
+    The layout is formatted directly, so no Python-level encoder runs and no
+    list of lists is built.
+    """
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(graph.to_json_dict(kind), f, indent=2)
-        f.write("\n")
+        f.write(_HEADER % (graph.n_vertices, graph.n_colors, kind.value))
+        _write_int_list(f, graph.edges, _EDGE,
+                        lambda block: tuple(chain.from_iterable(block)))
+        if graph.sides is not None:
+            f.write(',\n  "sides": ')
+            _write_int_list(f, graph.sides, _SIDE, tuple)
+        f.write("\n}\n")
 
 
-def load_instance(path: str) -> tuple[ColoredMultigraph, ColorClassKind]:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise InvalidInstance(
-            f"{path}: expected a JSON object, got {type(doc).__name__}")
-    # malformed fields surface as the errors the constructor raises on them,
-    # so a large file is not walked twice to validate it
+def _read_document(path: str) -> tuple[object, str]:
+    """The UTF-8 JSON document at path, and the SHA-256 hex digest of its bytes.
+
+    The bytes are dropped before the parse, so the parse holds the text and
+    the document alone, as a text-mode read would.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        graph = ColoredMultigraph(
-            n_vertices=doc["n_vertices"],
-            n_colors=doc["n_colors"],
-            edges=[tuple(e) for e in doc["edges"]],
-            sides=doc.get("sides"),
-        )
-    except KeyError as exc:
-        raise InvalidInstance(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidInstance(f"{path}: malformed instance: {exc}") from exc
+        text = data.decode("utf-8")
+        del data
+        return json.loads(text), digest
+    except ValueError as exc:
+        raise InvalidInstance(f"{path}: not a UTF-8 JSON document: {exc}") from exc
+
+
+def load_instance(path: str) -> tuple[ColoredMultigraph, ColorClassKind, str]:
+    """Graph, declared kind and SHA-256 hex digest of the bytes parsed.
+
+    The file is read once and must be UTF-8 without a byte-order mark.  The
+    cyclic GC is paused while the document and the graph are built: they
+    hold no reference cycles, and its passes over the growing edge lists
+    would free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc, digest = _read_document(path)
+        if not isinstance(doc, dict):
+            raise InvalidInstance(
+                f"{path}: expected a JSON object, got {type(doc).__name__}")
+        # malformed fields surface as the errors the constructor raises on them,
+        # so a large file is not walked twice to validate it
+        try:
+            graph = ColoredMultigraph(
+                n_vertices=doc["n_vertices"],
+                n_colors=doc["n_colors"],
+                edges=[tuple(e) for e in doc["edges"]],
+                sides=doc.get("sides"),
+            )
+        except KeyError as exc:
+            raise InvalidInstance(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidInstance(f"{path}: malformed instance: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     try:
         kind = ColorClassKind(doc.get("kind", "arbitrary"))
     except ValueError as exc:
         raise InvalidInstance(f"{path}: unknown kind: {exc}") from exc
-    return graph, kind
+    return graph, kind, digest
 
 
 @dataclass

@@ -89,9 +89,12 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
                 return True
         return False
 
-    for i in sorted(range(len(wilds)), key=lambda i: len(options(i))):
-        if not try_place(i, set()):
-            return None
+    try:
+        for i in sorted(range(len(wilds)), key=lambda i: len(options(i))):
+            if not try_place(i, set()):
+                return None
+    finally:
+        del try_place  # a self-referencing closure, unlinked as in _search_from
     pick: dict[int, tuple[int, int]] = {}
     for c, i in holder.items():
         eid = next(e for (cc, e) in wilds[i].options if cc == c)
@@ -241,9 +244,12 @@ class _Augmenter:
                         return False
             return False
 
-        if dfs(v0, 1):
-            return removed, found
-        return None
+        try:
+            return (removed, found) if dfs(v0, 1) else None
+        finally:
+            # dfs reaches itself through its closure; unlinking it lets
+            # reference counting free the search state now, not the cyclic GC
+            del dfs
 
     def _apply(self, removed: list[int], assignment: list[tuple[int, int]]) -> None:
         for meid in removed:

@@ -109,29 +109,34 @@ class _Expander:
         """Rewire the matching so that both u and v end up uncovered.
 
         Strictly descends through levels; all witness picks happen before any
-        rewiring, so the chase never backtracks.
+        rewiring, so the chase never backtracks.  Each step of the descent
+        trades matched pairs (x, u) for (x, u2); the trades are applied
+        innermost first once the descent reaches level 0.
         """
-        lu, lv = level[u], level[v]
-        if lu < lv:
-            u, v = v, u
-            lu, lv = lv, lu
-        if lu == 0:
-            return  # both already free
-        x = self.mate[u]
-        if lv < lu:
-            u2, eid2 = self._pick(x, lu, level, forbid={v})
-            self._release(u2, v, level)
-            self._remove(x, u)
-            self._add(x, u2, eid2)
-        else:
-            y = self.mate[v]
-            u2, eid2 = self._pick(x, lu, level, forbid=set())
-            v2, eid3 = self._pick(y, lu, level, forbid={u2})
-            self._release(u2, v2, level)
-            self._remove(x, u)
-            self._remove(y, v)
-            self._add(x, u2, eid2)
-            self._add(y, v2, eid3)
+        trades: list[tuple[tuple[int, int, int, int], ...]] = []
+        while True:
+            lu, lv = level[u], level[v]
+            if lu < lv:
+                u, v = v, u
+                lu, lv = lv, lu
+            if lu == 0:
+                break  # both already free
+            x = self.mate[u]
+            if lv < lu:
+                u2, eid2 = self._pick(x, lu, level, forbid={v})
+                trades.append(((x, u, u2, eid2),))
+                u = u2
+            else:
+                y = self.mate[v]
+                u2, eid2 = self._pick(x, lu, level, forbid=set())
+                v2, eid3 = self._pick(y, lu, level, forbid={u2})
+                trades.append(((x, u, u2, eid2), (y, v, v2, eid3)))
+                u, v = u2, v2
+        for step in reversed(trades):
+            for x, old, _, _ in step:
+                self._remove(x, old)
+            for x, _, new, eid in step:
+                self._add(x, new, eid)
 
 
 def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None) -> list[int]:

@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import re
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from rainbowmatch.cli import SOLVERS, build_parser, main
 from rainbowmatch.generators import FAMILIES
 from rainbowmatch.graph import RainbowMatching
-from rainbowmatch.solvers import SolveReport
+from rainbowmatch.solvers import SolveReport, two_factor
 from rainbowmatch.verification import PIPELINES, THEOREMS
 
 
@@ -64,6 +66,17 @@ def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc, solver):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "bad.json" in err
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_solve_refuses_non_utf8_files(tmp_path, capsys, encoding):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n_vertices": 2, "n_colors": 1,
+                                "edges": [[0, 1, 0]]}), encoding=encoding)
+    code, out, err = run(["solve", "--solver", "greedy", str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {inst}: not a UTF-8 JSON document") and err.count("\n") == 1
 
 
 def test_solve_zero_color_instance(tmp_path, capsys):
@@ -86,7 +99,7 @@ def test_solve_report_schema(tmp_path, capsys):
                 "seed", "elapsed_ms", "optimal", "manifest"):
         assert key in doc
     assert doc["size"] == 5 and doc["optimal"] is True
-    assert doc["manifest"]["input_digest"]
+    assert doc["manifest"]["input_digest"] == hashlib.sha256(inst.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("argv", [["greedy"], ["augment"], ["sampling"],
@@ -109,7 +122,10 @@ def test_solvers_run_from_cli(argv, tmp_path, capsys):
     (["--solver", "sampling", "--depth", "1"], "max_depth must be odd and at least 3, got 1"),
     (["--solver", "sampling", "--resamples", "0"],
      "max_resamples must be at least 1, got 0"),
-], ids=["augment-depth-2", "augment-depth-4", "sampling-depth-1", "sampling-resamples-0"])
+    (["--solver", "greedy", "--depth", "4"], "max_depth must be odd and at least 3, got 4"),
+    (["--solver", "exact", "--resamples", "0"], "max_resamples must be at least 1, got 0"),
+], ids=["augment-depth-2", "augment-depth-4", "sampling-depth-1", "sampling-resamples-0",
+        "greedy-depth-4", "exact-resamples-0"])
 def test_search_knobs_out_of_range_exit_2(tmp_path, capsys, argv, message):
     inst, report = tmp_path / "inst.json", tmp_path / "report.json"
     run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
@@ -178,6 +194,51 @@ def test_alspach_refuses_resamples_below_one(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: max_resamples must be at least 1, got -1\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--resamples", "0"], "max_resamples must be at least 1, got 0"),
+    (["--depth", "2"], "max_depth must be odd and at least 3, got 2"),
+], ids=["resamples-0", "depth-2"])
+def test_alspach_refuses_knobs_on_the_greedy_path(tmp_path, capsys, argv, message):
+    # 31 vertices >= 4d: alspach takes the greedy shortcut, which reads neither knob
+    inst, report = tmp_path / "circ.json", tmp_path / "report.json"
+    run(["generate", "--family", "circulant_two_factor", "--d", "5",
+         "--extra", "20", "--seed", "3", "-o", str(inst)], capsys)
+    code, out, err = run(["solve", "--solver", "alspach", *argv,
+                          "-o", str(report), str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def test_alspach_passes_depth_to_the_pipeline(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = two_factor.sample_and_complete
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(two_factor, "sample_and_complete", spy)
+    inst = tmp_path / "circ.json"
+    run(["generate", "--family", "circulant_two_factor", "--d", "5",
+         "--seed", "3", "-o", str(inst)], capsys)
+    for depth in ("3", "9"):
+        code, _, _ = run(["solve", "--solver", "alspach", "--depth", depth,
+                          str(inst)], capsys)
+        assert code == 0
+    assert seen == [3, 9]
+
+
+def test_solve_refuses_a_kind_the_solver_cannot_take(tmp_path, capsys):
+    inst, report = tmp_path / "latin.json", tmp_path / "report.json"
+    run(["generate", "--family", "latin_cayley", "--n", "5", "-o", str(inst)], capsys)
+    code, out, err = run(["solve", "--solver", "alspach", "-o", str(report),
+                          str(inst)], capsys)
+    assert code == 2 and out == "" and not report.exists()
+    assert err == (f"error: {inst}: solver 'alspach' takes kind two_factor or "
+                   "arbitrary, not matching\n")
 
 
 def test_exact_node_budget(tmp_path, capsys):

@@ -1,10 +1,16 @@
+import gc
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch.graph import (ColorClassKind,
+from rainbowmatch.cli import build_parser
+from rainbowmatch.errors import InvalidInstance
+from rainbowmatch.generators import FAMILIES
+from rainbowmatch.graph import (_BLOCK, ColorClassKind,
                                 ColoredMultigraph, RainbowMatching,
                                 draw_sample_split,
                                 is_rainbow_matching, load_instance,
@@ -45,8 +51,9 @@ def test_instance_round_trip(tmp_path):
     g = small_graph()
     path = tmp_path / "inst.json"
     save_instance(g, str(path), ColorClassKind.CLIQUE_UNION)
-    loaded, kind = load_instance(str(path))
+    loaded, kind, digest = load_instance(str(path))
     assert kind is ColorClassKind.CLIQUE_UNION
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert loaded.edges == g.edges
     assert loaded.n_vertices == g.n_vertices
     # canonical file: save again, byte-identical
@@ -55,6 +62,90 @@ def test_instance_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
     doc = json.loads(path.read_text())
     assert set(doc) == {"n_vertices", "n_colors", "kind", "edges"}
+
+
+def _dumps(graph, kind):
+    return (json.dumps(graph.to_json_dict(kind), indent=2) + "\n").encode()
+
+
+# small options for every generate family
+SMALL = {
+    "latin_cayley": ["--n", "5"],
+    "latin_random": ["--n", "6"],
+    "ab_bipartite": ["--n", "8", "--extra", "2"],
+    "ab_general": ["--n", "8", "--extra", "2"],
+    "grinblat": ["--n", "6", "--v", "18", "--m", "6"],
+    "triangle_lb": ["--n", "3"],
+    "two_k4": [],
+    "multiplicity_lb": ["--n", "5", "--d", "2"],
+    "circulant_two_factor": ["--d", "4", "--extra", "2"],
+    "symmetric_latin_two_factor": ["--d", "3"],
+}
+
+
+def test_small_options_cover_every_family():
+    assert set(SMALL) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(SMALL))
+def test_writer_matches_json_dumps_on_every_family(tmp_path, family):
+    args = build_parser().parse_args(["generate", "--family", family, *SMALL[family],
+                                      "-o", "unused"])
+    kind, make = FAMILIES[family]
+    graph = make(args, 1)
+    path = tmp_path / "inst.json"
+    save_instance(graph, str(path), kind)
+    assert path.read_bytes() == _dumps(graph, kind)
+
+
+@pytest.mark.parametrize("n_edges", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("with_sides", [False, True], ids=["no_sides", "sides"])
+def test_writer_matches_json_dumps_across_blocks(tmp_path, n_edges, with_sides):
+    # as many vertices as edges, so the sides list crosses the same block edges
+    rng = random.Random(n_edges)
+    nv = max(2, n_edges)
+    edges = []
+    for _ in range(n_edges):
+        u, v = rng.sample(range(nv), 2)
+        edges.append((u, v, rng.randrange(7)))
+    sides = [rng.randrange(2) for _ in range(nv)] if with_sides else None
+    graph = ColoredMultigraph(nv, 7, edges, sides=sides)
+    path = tmp_path / "inst.json"
+    for kind in ColorClassKind:
+        save_instance(graph, str(path), kind)
+        assert path.read_bytes() == _dumps(graph, kind)
+
+
+@pytest.mark.parametrize("sides", [None, []], ids=["no_sides", "empty_sides"])
+def test_writer_matches_json_dumps_without_vertices(tmp_path, sides):
+    graph = ColoredMultigraph(0, 0, [], sides=sides)
+    path = tmp_path / "inst.json"
+    save_instance(graph, str(path))
+    assert path.read_bytes() == _dumps(graph, ColorClassKind.ARBITRARY)
+
+
+@pytest.mark.parametrize("gc_on", [True, False], ids=["gc_on", "gc_off"])
+def test_load_restores_the_gc_state(tmp_path, gc_on):
+    good, bad, garbled = (tmp_path / name for name in ("good.json", "bad.json",
+                                                       "garbled.json"))
+    save_instance(small_graph(), str(good))
+    bad.write_text(json.dumps({"n_vertices": 2, "n_colors": 1, "edges": [[0, 1]]}))
+    garbled.write_text('{"n_vertices": 2,')
+    was = gc.isenabled()
+    try:
+        if not gc_on:
+            gc.disable()
+        load_instance(str(good))
+        assert gc.isenabled() is gc_on
+        with pytest.raises(InvalidInstance):
+            load_instance(str(bad))
+        assert gc.isenabled() is gc_on
+        with pytest.raises(InvalidInstance, match="garbled.json"):
+            load_instance(str(garbled))
+        assert gc.isenabled() is gc_on
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_validate_matching_kind_flags_shared_vertex():

@@ -7,6 +7,7 @@ probability differently changes a digest here.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -56,6 +57,9 @@ GENERATE_PINS = [
      "90ef138a99b18e9fafa55536ca4554784ccb0644f95d16781b28e5a16c60f25b"),
     ("circulant_two_factor", ["--d", "7", "--seed", "3"],
      "68748815a2497547e44e88ae8f871c63a3845626bf746df5aea751f7bc034a4c"),
+    # 8,460 edges: more than one of save_instance's blocks
+    ("circulant_two_factor", ["--d", "60", "--extra", "20"],
+     "1117fd4d34a74bf34c1d80379ca7d08e7a7697e7a3b5c225e0d3c388d8791d5a"),
     ("symmetric_latin_two_factor", ["--d", "3"],
      "c55673bffcbf41e25fdfdd7a0db7b59ed1c4c35fdcb19b9b5f80ce11f3fc00cf"),
     ("symmetric_latin_two_factor", ["--d", "5", "--seed", "1"],
@@ -63,8 +67,18 @@ GENERATE_PINS = [
 ]
 
 
+def _pin_ids(pins):
+    """family-k for the k-th pin of each family."""
+    seen = Counter()
+    ids = []
+    for family, *_ in pins:
+        ids.append(f"{family}-{seen[family]}")
+        seen[family] += 1
+    return ids
+
+
 @pytest.mark.parametrize("family, options, digest", GENERATE_PINS,
-                         ids=[f"{f}-{i % 2}" for i, (f, *_) in enumerate(GENERATE_PINS)])
+                         ids=_pin_ids(GENERATE_PINS))
 def test_generate_output_is_pinned(tmp_path, family, options, digest):
     path = tmp_path / "inst.json"
     assert main(["generate", "--family", family, *options, "-o", str(path)]) == 0

@@ -31,3 +31,22 @@ def test_verdicts_read_no_clock():
             found += [f"{name}:{node.lineno}" for mod in modules
                       if mod.split(".")[0] == "time"]
     assert found == []
+
+
+def test_expander_has_no_recursion():
+    """The expander's pointer chase runs in a loop, so the recursion limit caps nothing."""
+    name = "solvers/expander.py"
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            called = (callee.id if isinstance(callee, ast.Name)
+                      else callee.attr if isinstance(callee, ast.Attribute) else None)
+            if called == fn.name:
+                found.append(f"{name}:{node.lineno} {fn.name}")
+    assert found == []
