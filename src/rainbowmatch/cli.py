@@ -24,8 +24,9 @@ from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
                     load_instance, save_instance)
 from .seeding import derive_seed
 from .solvers import (AugmentConfig, SamplingConfig, SolveReport,
-                      alspach_solve, augment, default_p, exact_max_rainbow,
-                      greedy_maximal, sampling_solve)
+                      alspach_solve, augment, check_depth, check_resamples,
+                      default_p, exact_max_rainbow, greedy_maximal,
+                      sampling_solve)
 from .verification import PIPELINES, THEOREMS, check, sweep_surplus
 
 def _parse_int_list(text: str) -> list[int]:
@@ -137,8 +138,7 @@ def _solve_sampling(graph: ColoredMultigraph, args: argparse.Namespace,
 
 def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
-    return alspach_solve(graph, seed=seed, max_resamples=args.resamples,
-                         max_depth=args.depth)
+    return alspach_solve(graph, seed=seed, max_resamples=args.resamples)
 
 
 def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
@@ -157,16 +157,10 @@ SOLVERS = {"greedy": _solve_greedy, "augment": _solve_augment,
 _SOLVER_KINDS = {"alspach": (ColorClassKind.TWO_FACTOR, ColorClassKind.ARBITRARY)}
 
 
-def _check_search_knobs(args: argparse.Namespace) -> None:
-    """--depth and --resamples, refused for every solver before the input is read."""
-    if args.depth < 3 or args.depth % 2 == 0:
-        raise ValueError(f"max_depth must be odd and at least 3, got {args.depth}")
-    if args.resamples < 1:
-        raise ValueError(f"max_resamples must be at least 1, got {args.resamples}")
-
-
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
-    _check_search_knobs(args)
+    # refused for every solver, before the input is read
+    check_depth(args.depth)
+    check_resamples(args.resamples)
     seed = _resolve_seed(args)
     graph, kind, digest = load_instance(args.instance)
     accepted = _SOLVER_KINDS.get(args.solver)

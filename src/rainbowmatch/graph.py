@@ -7,7 +7,6 @@ objects and pair multiplicities are exact.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 from collections import Counter
@@ -167,34 +166,25 @@ def _read_document(path: str) -> tuple[object, str]:
 def load_instance(path: str) -> tuple[ColoredMultigraph, ColorClassKind, str]:
     """Graph, declared kind and SHA-256 hex digest of the bytes parsed.
 
-    The file is read once and must be UTF-8 without a byte-order mark.  The
-    cyclic GC is paused while the document and the graph are built: they
-    hold no reference cycles, and its passes over the growing edge lists
-    would free nothing.
+    The file is read once and must be UTF-8 without a byte-order mark.
     """
-    enabled = gc.isenabled()
-    gc.disable()
+    doc, digest = _read_document(path)
+    if not isinstance(doc, dict):
+        raise InvalidInstance(
+            f"{path}: expected a JSON object, got {type(doc).__name__}")
+    # malformed fields surface as the errors the constructor raises on them,
+    # so a large file is not walked twice to validate it
     try:
-        doc, digest = _read_document(path)
-        if not isinstance(doc, dict):
-            raise InvalidInstance(
-                f"{path}: expected a JSON object, got {type(doc).__name__}")
-        # malformed fields surface as the errors the constructor raises on them,
-        # so a large file is not walked twice to validate it
-        try:
-            graph = ColoredMultigraph(
-                n_vertices=doc["n_vertices"],
-                n_colors=doc["n_colors"],
-                edges=[tuple(e) for e in doc["edges"]],
-                sides=doc.get("sides"),
-            )
-        except KeyError as exc:
-            raise InvalidInstance(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InvalidInstance(f"{path}: malformed instance: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
+        graph = ColoredMultigraph(
+            n_vertices=doc["n_vertices"],
+            n_colors=doc["n_colors"],
+            edges=[tuple(e) for e in doc["edges"]],
+            sides=doc.get("sides"),
+        )
+    except KeyError as exc:
+        raise InvalidInstance(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstance(f"{path}: malformed instance: {exc}") from exc
     try:
         kind = ColorClassKind(doc.get("kind", "arbitrary"))
     except ValueError as exc:

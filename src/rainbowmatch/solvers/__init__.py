@@ -1,6 +1,7 @@
 from .greedy import greedy_maximal
-from .augment import AugmentConfig, augment
-from .sampling import SamplingConfig, SolveReport, default_p, sampling_solve
+from .augment import AugmentConfig, augment, check_depth
+from .sampling import (SamplingConfig, SolveReport, check_resamples, default_p,
+                       sampling_solve)
 from .hypergraph import AuxHypergraph, build_aux_hypergraph, nibble_match
 from .two_factor import alspach_solve
 from .expander import expander_matching, edge_disjoint_matchings
@@ -9,8 +10,9 @@ from .exact import exact_max_rainbow
 
 __all__ = [
     "greedy_maximal",
-    "AugmentConfig", "augment",
-    "SamplingConfig", "SolveReport", "default_p", "sampling_solve",
+    "AugmentConfig", "augment", "check_depth",
+    "SamplingConfig", "SolveReport", "check_resamples", "default_p",
+    "sampling_solve",
     "AuxHypergraph", "build_aux_hypergraph", "nibble_match",
     "alspach_solve",
     "expander_matching", "edge_disjoint_matchings",

@@ -37,6 +37,12 @@ class AugmentConfig:
     seed: int = 0
 
 
+def check_depth(max_depth: int) -> None:
+    """Refuse an alternating-path bound that is not odd and at least 3."""
+    if max_depth < 3 or max_depth % 2 == 0:
+        raise ValueError(f"max_depth must be odd and at least 3, got {max_depth}")
+
+
 class _Budget:
     def __init__(self, limit: int):
         self.left = limit
@@ -89,12 +95,9 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
                 return True
         return False
 
-    try:
-        for i in sorted(range(len(wilds)), key=lambda i: len(options(i))):
-            if not try_place(i, set()):
-                return None
-    finally:
-        del try_place  # a self-referencing closure, unlinked as in _search_from
+    for i in sorted(range(len(wilds)), key=lambda i: len(options(i))):
+        if not try_place(i, set()):
+            return None
     pick: dict[int, tuple[int, int]] = {}
     for c, i in holder.items():
         eid = next(e for (cc, e) in wilds[i].options if cc == c)
@@ -244,12 +247,9 @@ class _Augmenter:
                         return False
             return False
 
-        try:
-            return (removed, found) if dfs(v0, 1) else None
-        finally:
-            # dfs reaches itself through its closure; unlinking it lets
-            # reference counting free the search state now, not the cyclic GC
-            del dfs
+        if dfs(v0, 1):
+            return removed, found
+        return None
 
     def _apply(self, removed: list[int], assignment: list[tuple[int, int]]) -> None:
         for meid in removed:
@@ -307,7 +307,6 @@ def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
     """augment variant also reporting whether the node budget ran out."""
     if cfg is None:
         cfg = AugmentConfig()
-    if cfg.max_depth < 3 or cfg.max_depth % 2 == 0:
-        raise ValueError(f"max_depth must be odd and at least 3, got {cfg.max_depth}")
+    check_depth(cfg.max_depth)
     aug = _Augmenter(graph, matching, cfg)
     return aug.run()

@@ -29,6 +29,12 @@ def default_p(n_colors: int) -> float:
     return min(0.5, 2.0 * n_colors ** -0.25) if n_colors > 0 else 0.5
 
 
+def check_resamples(max_resamples: int) -> None:
+    """Refuse a resampling bound below one attempt."""
+    if max_resamples < 1:
+        raise ValueError(f"max_resamples must be at least 1, got {max_resamples}")
+
+
 @dataclass
 class SamplingConfig:
     p: float = 0.5
@@ -100,8 +106,7 @@ def sample_and_complete(
     """
     if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
-    if max_resamples < 1:
-        raise ValueError(f"max_resamples must be at least 1, got {max_resamples}")
+    check_resamples(max_resamples)
     start = time.perf_counter()
     log: PhaseLog = []
     seeds: list[int] = []

@@ -15,7 +15,6 @@ import time
 from ..errors import NotTwoFactorized
 from ..graph import ColoredMultigraph, ColorClassKind, SampleSplit, validate
 from ..seeding import derive_seed
-from .augment import AugmentConfig
 from .greedy import greedy_maximal
 from .hypergraph import build_aux_hypergraph, nibble_match
 from .sampling import PhaseLog, SolveReport, sample_and_complete
@@ -36,12 +35,8 @@ def _nibble(graph: ColoredMultigraph, split: SampleSplit, seed: int,
 
 
 def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
-                  max_resamples: int = 5,
-                  max_depth: int = AugmentConfig.max_depth) -> SolveReport:
-    """Rainbow matching using every color of a 2-factorized instance.
-
-    max_depth bounds the repair augment's paths, as in sample_and_complete.
-    """
+                  max_resamples: int = 5) -> SolveReport:
+    """Rainbow matching using every color of a 2-factorized instance."""
     report = validate(graph, ColorClassKind.TWO_FACTOR)
     if not report.valid:
         raise NotTwoFactorized("colour classes are not 2-factors; first (colour, "
@@ -60,4 +55,4 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
         return SolveReport.single_phase("greedy", matching, d, seed, start)
 
     return sample_and_complete(graph, 1.0 - 2.0 * d / graph.n_vertices, _nibble,
-                               seed, max_resamples, max_depth)
+                               seed, max_resamples)

@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import random
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.cli import build_parser
-from rainbowmatch.errors import InvalidInstance
 from rainbowmatch.generators import FAMILIES
 from rainbowmatch.graph import (_BLOCK, ColorClassKind,
                                 ColoredMultigraph, RainbowMatching,
@@ -122,30 +120,6 @@ def test_writer_matches_json_dumps_without_vertices(tmp_path, sides):
     path = tmp_path / "inst.json"
     save_instance(graph, str(path))
     assert path.read_bytes() == _dumps(graph, ColorClassKind.ARBITRARY)
-
-
-@pytest.mark.parametrize("gc_on", [True, False], ids=["gc_on", "gc_off"])
-def test_load_restores_the_gc_state(tmp_path, gc_on):
-    good, bad, garbled = (tmp_path / name for name in ("good.json", "bad.json",
-                                                       "garbled.json"))
-    save_instance(small_graph(), str(good))
-    bad.write_text(json.dumps({"n_vertices": 2, "n_colors": 1, "edges": [[0, 1]]}))
-    garbled.write_text('{"n_vertices": 2,')
-    was = gc.isenabled()
-    try:
-        if not gc_on:
-            gc.disable()
-        load_instance(str(good))
-        assert gc.isenabled() is gc_on
-        with pytest.raises(InvalidInstance):
-            load_instance(str(bad))
-        assert gc.isenabled() is gc_on
-        with pytest.raises(InvalidInstance, match="garbled.json"):
-            load_instance(str(garbled))
-        assert gc.isenabled() is gc_on
-    finally:
-        if was:
-            gc.enable()
 
 
 def test_validate_matching_kind_flags_shared_vertex():
