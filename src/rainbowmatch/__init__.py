@@ -11,10 +11,10 @@ from .generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
                          gen_multiplicity_lb, gen_triangle_lb, gen_two_factorized,
                          gen_two_k4)
 from .seeding import derive_seed
-from .solvers import (AugmentConfig, AuxHypergraph, BipartiteReduction,
-                      SamplingConfig, SolveReport, alspach_solve, augment,
-                      build_aux_hypergraph, edge_disjoint_matchings,
-                      exact_max_rainbow, expander_matching, greedy_maximal,
-                      nibble_match, orient_bipartition_reduce, sampling_solve)
+from .solvers import (AuxHypergraph, BipartiteReduction, SolveReport,
+                      alspach_solve, augment, build_aux_hypergraph,
+                      edge_disjoint_matchings, exact_max_rainbow,
+                      expander_matching, greedy_maximal, nibble_match,
+                      orient_bipartition_reduce, sampling_solve)
 
 __version__ = "0.1.0"

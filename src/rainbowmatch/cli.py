@@ -23,10 +23,9 @@ from .generators import FAMILIES
 from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
                     load_instance, save_instance)
 from .seeding import derive_seed
-from .solvers import (AugmentConfig, SamplingConfig, SolveReport,
-                      alspach_solve, augment, check_depth, check_resamples,
-                      default_p, exact_max_rainbow, greedy_maximal,
-                      sampling_solve)
+from .solvers import (SolveReport, alspach_solve, augment, check_depth,
+                      check_resamples, default_p, exact_max_rainbow,
+                      greedy_maximal, sampling_solve)
 from .verification import PIPELINES, THEOREMS, check, sweep_surplus
 
 def _parse_int_list(text: str) -> list[int]:
@@ -48,10 +47,6 @@ def _timestamp() -> str:
     when = (datetime.fromtimestamp(int(epoch), tz=timezone.utc)
             if epoch else datetime.now(tz=timezone.utc))
     return when.isoformat(timespec="seconds")
-
-
-def _deterministic_run() -> bool:
-    return "SOURCE_DATE_EPOCH" in os.environ
 
 
 def build_manifest(argv: list[str], seed: int,
@@ -113,27 +108,21 @@ def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 # the solvers up as module globals at call time, so wrappers installed here see them.
 def _solve_greedy(graph: ColoredMultigraph, args: argparse.Namespace,
                   seed: int) -> SolveReport:
-    start = time.perf_counter()
     matching = greedy_maximal(graph, "rare_color_first")
-    return SolveReport.single_phase("greedy", matching, graph.n_colors, seed, start)
+    return SolveReport.single_phase("greedy", matching, graph.n_colors, seed)
 
 
 def _solve_augment(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
-    start = time.perf_counter()
     matching = greedy_maximal(graph, "rare_color_first")
-    cfg = AugmentConfig(max_depth=args.depth, seed=derive_seed(seed, "augment"))
-    matching = augment(graph, matching, cfg)
-    return SolveReport.single_phase("greedy+augment", matching, graph.n_colors,
-                                    seed, start)
+    matching = augment(graph, matching, args.depth, derive_seed(seed, "augment"))
+    return SolveReport.single_phase("greedy+augment", matching, graph.n_colors, seed)
 
 
 def _solve_sampling(graph: ColoredMultigraph, args: argparse.Namespace,
                     seed: int) -> SolveReport:
     p = default_p(graph.n_colors) if args.p == "auto" else float(args.p)
-    cfg = SamplingConfig(p=p, seed=seed, max_resamples=args.resamples,
-                         max_depth=args.depth)
-    return sampling_solve(graph, cfg)
+    return sampling_solve(graph, p, seed, args.resamples, args.depth)
 
 
 def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
@@ -143,9 +132,8 @@ def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
 
 def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
                  seed: int) -> SolveReport:
-    start = time.perf_counter()
     _, matching, certified = exact_max_rainbow(graph, args.node_budget)
-    return SolveReport.single_phase("exact", matching, graph.n_colors, seed, start,
+    return SolveReport.single_phase("exact", matching, graph.n_colors, seed,
                                     optimal=certified)
 
 
@@ -168,15 +156,17 @@ def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
         raise InvalidInstance(
             f"{args.instance}: solver {args.solver!r} takes kind "
             f"{' or '.join(k.value for k in accepted)}, not {kind.value}")
+    start = time.perf_counter()
     report = SOLVERS[args.solver](graph, args, seed)
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    if "SOURCE_DATE_EPOCH" in os.environ:  # the report bytes must not depend on it
+        elapsed_ms = 0
     ok, why = is_rainbow_matching(graph, report.matching)
     if not ok:
         raise RefusedReport(f"solver {args.solver!r} returned a matching that is "
                             f"not rainbow: {why}")
 
-    doc = report.to_json_dict(graph)
-    if _deterministic_run():
-        doc["elapsed_ms"] = 0
+    doc = report.to_json_dict(graph, elapsed_ms)
     doc["manifest"] = build_manifest(argv, seed, digest)
     emit(doc, args.format, args.out)
     return 0

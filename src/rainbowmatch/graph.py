@@ -50,8 +50,11 @@ class ColoredMultigraph:
     def __post_init__(self):
         if self.n_vertices < 0 or self.n_colors < 0:
             raise ValueError("negative vertex or color count")
-        if self.sides is not None and len(self.sides) != self.n_vertices:
-            raise ValueError("sides tag must cover every vertex")
+        if self.sides is not None:
+            if len(self.sides) != self.n_vertices:
+                raise ValueError("sides tag must cover every vertex")
+            if any(type(s) is not int or s not in (0, 1) for s in self.sides):
+                raise ValueError("sides tag must be 0 or 1 per vertex")
         self.rebuild_indices()
 
     def rebuild_indices(self) -> None:

@@ -7,12 +7,11 @@ neighbour joined by at least HEAVY_THRESHOLD usable colors is traversed as a
 wildcard; its concrete color is assigned when the path reaches a free vertex,
 and the path is applied with that assignment.
 
-The node budget counts search-tree expansions: one per entry into the
-depth-first search, whatever work that node then does.  The per-vertex
-neighbour cache (_Augmenter._neighbours) only makes a node cheaper; it leaves
-the expanded nodes and their order unchanged, so a given budget explores the
-same tree and returns the same matching as a search that regroups x's edges
-at every node.
+NODE_BUDGET counts search-tree expansions: one per entry into the depth-first
+search, whatever work that node then does.  The per-vertex neighbour cache
+(_Augmenter._neighbours) only makes a node cheaper; it leaves the expanded
+nodes and their order unchanged, so a given budget explores the same tree and
+returns the same matching as a search that regroups x's edges at every node.
 """
 
 from __future__ import annotations
@@ -28,32 +27,16 @@ from .greedy import _greedy_pass
 
 # color options per vertex pair from which a step defers its color choice
 HEAVY_THRESHOLD = 8
-
-
-@dataclass
-class AugmentConfig:
-    max_depth: int = 9           # max alternating-path length, odd
-    node_budget: int = 50_000    # search-tree expansions per augment call
-    seed: int = 0
+# max alternating-path length, odd
+MAX_DEPTH = 9
+# search-tree expansions per augment call
+NODE_BUDGET = 50_000
 
 
 def check_depth(max_depth: int) -> None:
     """Refuse an alternating-path bound that is not odd and at least 3."""
     if max_depth < 3 or max_depth % 2 == 0:
         raise ValueError(f"max_depth must be odd and at least 3, got {max_depth}")
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-        self.exhausted = False
-
-    def spend(self) -> bool:
-        self.left -= 1
-        if self.left <= 0:
-            self.exhausted = True
-            return False
-        return True
 
 
 @dataclass
@@ -115,10 +98,13 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
 
 class _Augmenter:
     def __init__(self, graph: ColoredMultigraph, matching: RainbowMatching,
-                 cfg: AugmentConfig):
+                 max_depth: int, seed: int):
         self.graph = graph
-        self.cfg = cfg
-        self.rng = random.Random(cfg.seed)
+        self.max_depth = max_depth
+        self.rng = random.Random(seed)
+        # each dfs entry spends a node first, then stops once none is left
+        self.nodes_left = NODE_BUDGET
+        self.exhausted = False
         self.match_at: dict[int, int] = {}   # vertex -> matching edge id
         self.edge_color: dict[int, int] = {}  # matching edge id -> color
         for eid, c in matching.pairs:
@@ -185,7 +171,7 @@ class _Augmenter:
         split = self._split[x] = (free, matched)
         return split
 
-    def _search_from(self, v0: int, depth: int, budget: _Budget, c0: set[int]
+    def _search_from(self, v0: int, depth: int, c0: set[int]
                      ) -> Optional[tuple[list[int], list[tuple[int, int]]]]:
         """(matching edge ids to remove, (color, edge id) per gain step) of
         the first improving path from v0 within depth, or None."""
@@ -197,7 +183,9 @@ class _Augmenter:
         found: list[tuple[int, int]] = []  # the validated color assignment
 
         def dfs(x: int, length: int) -> bool:
-            if not budget.spend():
+            self.nodes_left -= 1
+            if self.nodes_left <= 0:
+                self.exhausted = True
                 return False
             free, matched = self._neighbours(x)
             allowed = None
@@ -243,7 +231,7 @@ class _Augmenter:
                     if not wildcard:
                         committed.discard(c)
                     gains.pop()
-                    if budget.exhausted:
+                    if self.exhausted:
                         return False
             return False
 
@@ -263,50 +251,46 @@ class _Augmenter:
             self.match_at[v] = eid
             self.edge_color[eid] = c
 
-    def improve_once(self, budget: _Budget) -> bool:
+    def improve_once(self) -> bool:
         # the matching changed since the last search, and stays fixed during this one
         self._split.clear()
         c0 = self.free_colors()
         free_vertices = [v for v in range(self.graph.n_vertices)
                          if v not in self.match_at]
         self.rng.shuffle(free_vertices)
-        for depth in range(3, self.cfg.max_depth + 1, 2):
+        for depth in range(3, self.max_depth + 1, 2):
             for v0 in free_vertices:
-                found = self._search_from(v0, depth, budget, c0)
+                found = self._search_from(v0, depth, c0)
                 if found is not None:
                     self._apply(*found)
                     return True
-                if budget.exhausted:
+                if self.exhausted:
                     return False
         return False
 
     def run(self) -> tuple[RainbowMatching, bool]:
-        budget = _Budget(self.cfg.node_budget)
         self.extend_greedy()
         while self.free_colors():
-            if not self.improve_once(budget):
+            if not self.improve_once():
                 break
             self.extend_greedy()
-        return self.matching(), budget.exhausted
+        return self.matching(), self.exhausted
 
 
 def augment(graph: ColoredMultigraph, matching: RainbowMatching,
-            cfg: Optional[AugmentConfig] = None) -> RainbowMatching:
+            max_depth: int = MAX_DEPTH, seed: int = 0) -> RainbowMatching:
     """Grow a rainbow matching by bounded-depth alternating paths.
 
     Monotone: the result is never smaller than the input.  Budget exhaustion
     returns the current matching.
     """
-    result, _ = augment_flagged(graph, matching, cfg)
+    result, _ = augment_flagged(graph, matching, max_depth, seed)
     return result
 
 
 def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
-                    cfg: Optional[AugmentConfig] = None
+                    max_depth: int = MAX_DEPTH, seed: int = 0
                     ) -> tuple[RainbowMatching, bool]:
-    """augment variant also reporting whether the node budget ran out."""
-    if cfg is None:
-        cfg = AugmentConfig()
-    check_depth(cfg.max_depth)
-    aug = _Augmenter(graph, matching, cfg)
-    return aug.run()
+    """augment variant also reporting whether NODE_BUDGET ran out."""
+    check_depth(max_depth)
+    return _Augmenter(graph, matching, max_depth, seed).run()

@@ -10,7 +10,6 @@ Grinblat); two_factor.alspach_solve plugs in the auxiliary-hypergraph nibble.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -18,7 +17,7 @@ from typing import Callable, Optional
 from ..graph import (ColoredMultigraph, RainbowMatching, SampleSplit,
                      draw_sample_split, restrict_with_map)
 from ..seeding import derive_seed
-from .augment import AugmentConfig, augment_flagged
+from .augment import MAX_DEPTH, augment_flagged
 from .greedy import greedy_maximal, try_complete
 
 PhaseLog = list[tuple[str, int, int]]
@@ -36,19 +35,10 @@ def check_resamples(max_resamples: int) -> None:
 
 
 @dataclass
-class SamplingConfig:
-    p: float = 0.5
-    max_resamples: int = 5
-    seed: int = 0
-    max_depth: int = AugmentConfig.max_depth  # of the weak and the repair augment
-
-
-@dataclass
 class SolveReport:
     matching: RainbowMatching
     n_colors: int
     phase_log: PhaseLog = field(default_factory=list)
-    elapsed: float = 0.0
     seeds_used: list[int] = field(default_factory=list)
     budget_exhausted: bool = False
     optimal: Optional[bool] = None
@@ -56,12 +46,10 @@ class SolveReport:
 
     @classmethod
     def single_phase(cls, phase: str, matching: RainbowMatching, n_colors: int,
-                     seed: int, start: float,
-                     optimal: Optional[bool] = None) -> SolveReport:
-        """Report of a solver that built one matching in one phase since start."""
+                     seed: int, optimal: Optional[bool] = None) -> SolveReport:
+        """Report of a solver that built one matching in one phase."""
         return cls(matching=matching, n_colors=n_colors,
-                   phase_log=[(phase, 0, len(matching))],
-                   elapsed=time.perf_counter() - start, seeds_used=[seed],
+                   phase_log=[(phase, 0, len(matching))], seeds_used=[seed],
                    optimal=optimal, seed=seed)
 
     @property
@@ -72,7 +60,7 @@ class SolveReport:
     def missing_colors(self) -> list[int]:
         return sorted(set(range(self.n_colors)) - self.matching.colors())
 
-    def to_json_dict(self, graph: ColoredMultigraph) -> dict:
+    def to_json_dict(self, graph: ColoredMultigraph, elapsed_ms: int) -> dict:
         return {
             "size": len(self.matching),
             "defect": self.defect,
@@ -80,7 +68,7 @@ class SolveReport:
             "matching": self.matching.as_edge_list(graph),
             "phases": [list(p) for p in self.phase_log],
             "seed": self.seed,
-            "elapsed_ms": int(self.elapsed * 1000),
+            "elapsed_ms": elapsed_ms,
             "optimal": self.optimal,
         }
 
@@ -94,7 +82,7 @@ def sample_and_complete(
         weak: Callable[[ColoredMultigraph, SampleSplit, int, PhaseLog],
                        tuple[list[tuple[int, int]], bool]],
         seed: int, max_resamples: int,
-        max_depth: int = AugmentConfig.max_depth) -> SolveReport:
+        max_depth: int = MAX_DEPTH) -> SolveReport:
     """Run split / weak solve / complete / repair with bounded resampling.
 
     weak(graph, split, seed, log) solves outside split.sample and returns
@@ -107,7 +95,6 @@ def sample_and_complete(
     if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
     check_resamples(max_resamples)
-    start = time.perf_counter()
     log: PhaseLog = []
     seeds: list[int] = []
     best = RainbowMatching()
@@ -127,9 +114,8 @@ def sample_and_complete(
 
         if stuck is not None:
             before = len(combined)
-            repair_cfg = AugmentConfig(max_depth=max_depth,
-                                       seed=derive_seed(sub_seed, "repair"))
-            combined, ex = augment_flagged(graph, combined, repair_cfg)
+            combined, ex = augment_flagged(graph, combined, max_depth,
+                                           derive_seed(sub_seed, "repair"))
             exhausted = exhausted or ex
             log.append(("repair_augment", before, len(combined)))
 
@@ -138,8 +124,7 @@ def sample_and_complete(
         if len(best.colors()) == graph.n_colors:
             break
     return SolveReport(matching=best, n_colors=graph.n_colors, phase_log=log,
-                       elapsed=time.perf_counter() - start, seeds_used=seeds,
-                       budget_exhausted=exhausted, seed=seed)
+                       seeds_used=seeds, budget_exhausted=exhausted, seed=seed)
 
 
 def _greedy_augment(max_depth: int, graph: ColoredMultigraph,
@@ -150,13 +135,15 @@ def _greedy_augment(max_depth: int, graph: ColoredMultigraph,
     matching = greedy_maximal(rest_graph, "rare_color_first")
     log.append(("weak_greedy", 0, len(matching)))
     before = len(matching)
-    aug_cfg = AugmentConfig(max_depth=max_depth, seed=derive_seed(seed, "augment"))
-    matching, exhausted = augment_flagged(rest_graph, matching, aug_cfg)
+    matching, exhausted = augment_flagged(rest_graph, matching, max_depth,
+                                          derive_seed(seed, "augment"))
     log.append(("weak_augment", before, len(matching)))
     return _lift(matching.pairs, rest_map), exhausted
 
 
-def sampling_solve(graph: ColoredMultigraph, cfg: SamplingConfig) -> SolveReport:
-    """Sampling trick with greedy + augment as the weak solver."""
-    return sample_and_complete(graph, cfg.p, partial(_greedy_augment, cfg.max_depth),
-                               cfg.seed, cfg.max_resamples, cfg.max_depth)
+def sampling_solve(graph: ColoredMultigraph, p: float, seed: int = 0,
+                   max_resamples: int = 5, max_depth: int = MAX_DEPTH) -> SolveReport:
+    """Sampling trick with greedy + augment as the weak solver; max_depth
+    bounds both the weak and the repair augment."""
+    return sample_and_complete(graph, p, partial(_greedy_augment, max_depth),
+                               seed, max_resamples, max_depth)

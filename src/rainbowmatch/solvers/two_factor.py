@@ -10,8 +10,6 @@ outside the sample, by id) and completing the missing colors inside the sample.
 
 from __future__ import annotations
 
-import time
-
 from ..errors import NotTwoFactorized
 from ..graph import ColoredMultigraph, ColorClassKind, SampleSplit, validate
 from ..seeding import derive_seed
@@ -50,9 +48,8 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
                                "need at most 2")
 
     if graph.n_vertices >= 4 * d:
-        start = time.perf_counter()
         matching = greedy_maximal(graph, "rare_color_first")
-        return SolveReport.single_phase("greedy", matching, d, seed, start)
+        return SolveReport.single_phase("greedy", matching, d, seed)
 
     return sample_and_complete(graph, 1.0 - 2.0 * d / graph.n_vertices, _nibble,
                                seed, max_resamples)

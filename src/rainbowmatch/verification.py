@@ -15,8 +15,8 @@ from .generators import (gen_ab, gen_grinblat, gen_multiplicity_lb,
                          gen_triangle_lb, gen_two_factorized, gen_two_k4)
 from .graph import ColoredMultigraph
 from .seeding import derive_seed
-from .solvers import (SamplingConfig, alspach_solve, default_p,
-                      exact_max_rainbow, greedy_maximal, sampling_solve)
+from .solvers import (alspach_solve, default_p, exact_max_rainbow,
+                      greedy_maximal, sampling_solve)
 
 # nodes per certification cell, so "certified" depends on the instance alone;
 # >= 500x the most a default cell (18) or an acceptance criterion 4 cell (182,
@@ -37,10 +37,6 @@ class CheckCell:
 @dataclass
 class TheoremCheck:
     theorem_id: str
-    n_values: list[int]
-    trials: int
-    seed: int
-    assertion: str
     cells: list[CheckCell] = field(default_factory=list)
 
     @property
@@ -92,7 +88,7 @@ def _pipeline_defect(family: str, n: int, surplus: int, iseed: int, sseed: int,
     """Defect of `family`'s strong pipeline on one seeded instance."""
     make, p = PIPELINES[family]
     graph = make(n, surplus, iseed, cap)
-    return sampling_solve(graph, SamplingConfig(p=p(n), seed=sseed)).defect
+    return sampling_solve(graph, p(n), sseed).defect
 
 
 def _strong(family: str, surplus: Callable[[int], int],
@@ -204,8 +200,7 @@ def check(theorem_id: str, n_values: Optional[list[int]] = None,
     ns = list(theorem.sizes if n_values is None else n_values)
     t = theorem.trials if trials is None else trials
     _check_domain(ns, t)
-    result = TheoremCheck(theorem_id=theorem_id, n_values=ns, trials=t,
-                          seed=seed, assertion=theorem.assertion)
+    result = TheoremCheck(theorem_id)
     for n in ns:
         for trial in range(t):
             iseed, sseed = _cell_seeds(seed, theorem_id, n, trial)

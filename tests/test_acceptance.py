@@ -15,8 +15,7 @@ from rainbowmatch.generators import (gen_ab, gen_grinblat, gen_latin,
                                      gen_two_k4)
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
 from rainbowmatch.seeding import derive_seed
-from rainbowmatch.solvers import (AugmentConfig, SamplingConfig, alspach_solve,
-                                  augment, edge_disjoint_matchings,
+from rainbowmatch.solvers import (alspach_solve, augment, edge_disjoint_matchings,
                                   exact_max_rainbow, expander_matching,
                                   greedy_maximal, orient_bipartition_reduce,
                                   sampling_solve)
@@ -66,7 +65,7 @@ def _pipeline_defects(tag: str, make, p: float, trials: int) -> list[int]:
     for trial in range(trials):
         iseed = derive_seed(BASE_SEED, tag, trial, "i")
         sseed = derive_seed(BASE_SEED, tag, trial, "s")
-        report = sampling_solve(make(iseed), SamplingConfig(p=p, seed=sseed))
+        report = sampling_solve(make(iseed), p, seed=sseed)
         defects.append(report.defect)
     return defects
 
@@ -292,10 +291,9 @@ def criterion_10() -> dict:
     for gi, g in enumerate(corpus):
         for trial in range(5):
             sseed = derive_seed(BASE_SEED, "c10a", gi, trial)
-            cfg = AugmentConfig(seed=sseed)
             start = greedy_maximal(g, "random", sseed)
-            once = augment(g, start, cfg)
-            twice = augment(g, once, cfg)
+            once = augment(g, start, seed=sseed)
+            twice = augment(g, once, seed=sseed)
             if len(once) < len(start) or sorted(twice.pairs) != sorted(once.pairs):
                 prop_fail.append([gi, trial])
 

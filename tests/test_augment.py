@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
 from rainbowmatch.graph import ColoredMultigraph, RainbowMatching, is_rainbow_matching
-from rainbowmatch.solvers import (AugmentConfig, SamplingConfig, augment,
-                                  greedy_maximal, sampling_solve)
+from rainbowmatch.solvers import augment, greedy_maximal, sampling_solve
 from rainbowmatch.solvers.augment import augment_flagged
 
 # the package re-exports the augment() function under the submodule's name
@@ -19,7 +18,7 @@ augment_module = importlib.import_module("rainbowmatch.solvers.augment")
 
 def test_augment_from_empty_is_valid():
     g = gen_latin(6, "random", 2)
-    m = augment(g, RainbowMatching(), AugmentConfig(seed=1))
+    m = augment(g, RainbowMatching(), seed=1)
     ok, why = is_rainbow_matching(g, m)
     assert ok, why
     assert len(m) >= 1
@@ -30,7 +29,7 @@ def test_augment_reaches_n_minus_one_on_odd_cayley():
     # augmenter must get within one of it from a greedy start
     g = gen_latin(7, "cayley", 0)
     start = greedy_maximal(g, "input", 0)
-    out = augment(g, start, AugmentConfig(seed=5))
+    out = augment(g, start, seed=5)
     assert len(out) >= 6
 
 
@@ -39,7 +38,7 @@ def test_augment_reaches_n_minus_one_on_odd_cayley():
 def test_augment_monotone_and_valid(seed):
     g = gen_ab(12, 1, False, seed)
     start = greedy_maximal(g, "random", seed)
-    out = augment(g, start, AugmentConfig(seed=seed))
+    out = augment(g, start, seed=seed)
     assert len(out) >= len(start)
     ok, why = is_rainbow_matching(g, out)
     assert ok, why
@@ -49,17 +48,16 @@ def test_augment_monotone_and_valid(seed):
 @given(seed=st.integers(0, 2 ** 32))
 def test_augment_idempotent_at_fixpoint(seed):
     g = gen_grinblat(10, 30, 2, seed)
-    cfg = AugmentConfig(seed=7)
-    once = augment(g, greedy_maximal(g, "input", 0), cfg)
-    twice = augment(g, once, cfg)
+    once = augment(g, greedy_maximal(g, "input", 0), seed=7)
+    twice = augment(g, once, seed=7)
     assert sorted(twice.pairs) == sorted(once.pairs)
 
 
-def test_budget_exhaustion_returns_current_matching():
+def test_budget_exhaustion_returns_current_matching(monkeypatch):
+    monkeypatch.setattr(augment_module, "NODE_BUDGET", 5)
     g = gen_ab(20, 0, False, 3)
-    cfg = AugmentConfig(node_budget=5, seed=0)
     start = greedy_maximal(g, "input", 0)
-    out = augment(g, start, cfg)
+    out = augment(g, start)
     assert len(out) >= len(start)
     ok, _ = is_rainbow_matching(g, out)
     assert ok
@@ -93,10 +91,10 @@ _HEAVY0_EXHAUSTED = "59a3903cc7224548df69cfd8d67a2e24caf56d00208c548919670fdfefd
     (92, _AB20_EXHAUSTED),
     (93, "62ac140d3da97ef1a529faf5fcaaeadbcf75767923482614ebd46376d8907221"),
 ], ids=["5", "92", "93"])
-def test_budget_exhaustion_is_pinned(budget, digest):
+def test_budget_exhaustion_is_pinned(monkeypatch, budget, digest):
+    monkeypatch.setattr(augment_module, "NODE_BUDGET", budget)
     g = gen_ab(20, 0, False, 3)
-    out, exhausted = augment_flagged(g, greedy_maximal(g, "input", 0),
-                                     AugmentConfig(node_budget=budget, seed=0))
+    out, exhausted = augment_flagged(g, greedy_maximal(g, "input", 0))
     assert _digest(out.pairs, exhausted) == digest
 
 
@@ -114,10 +112,10 @@ def test_budget_exhaustion_is_pinned(budget, digest):
      "c3b7bbe5453ccd3e5d82d7778e71e02ea592b154d263ef3dd062bae6e0b8e959"),
 ], ids=["seed0-50", "seed0-2265", "seed0-2266", "seed2-15144", "seed2-15145",
         "seed2-small"])
-def test_heavy_pair_search_is_pinned(instance, budget, digest):
+def test_heavy_pair_search_is_pinned(monkeypatch, instance, budget, digest):
+    monkeypatch.setattr(augment_module, "NODE_BUDGET", budget)
     g = _heavy_multigraph(*instance)
-    out, exhausted = augment_flagged(g, RainbowMatching(),
-                                     AugmentConfig(node_budget=budget, seed=instance[0]))
+    out, exhausted = augment_flagged(g, RainbowMatching(), seed=instance[0])
     assert _digest(out.pairs, exhausted) == digest
     ok, why = is_rainbow_matching(g, out)
     assert ok, why
@@ -132,13 +130,14 @@ def test_heavy_pairs_take_the_wildcard_branch(monkeypatch):
         return gain(options, wildcard)
 
     monkeypatch.setattr(augment_module, "_Gain", counting_gain)
+    monkeypatch.setattr(augment_module, "NODE_BUDGET", 2266)
     g = _heavy_multigraph(0, 14, 16, 30)
-    augment_flagged(g, RainbowMatching(), AugmentConfig(node_budget=2266, seed=0))
+    augment_flagged(g, RainbowMatching())
     assert sum(wildcards) > 0
 
 
 def test_sampling_solve_on_ab_bipartite_is_pinned():
-    report = sampling_solve(gen_ab(64, 0, True, 0), SamplingConfig(seed=0))
+    report = sampling_solve(gen_ab(64, 0, True, 0), 0.5)
     assert report.budget_exhausted
     assert (_digest(report.matching.pairs, report.budget_exhausted)
             == "30931a2a5f66239460036cf540580becf0c91bc6b6e2091b48bacd71ceb28040")

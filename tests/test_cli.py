@@ -55,9 +55,12 @@ def test_solve_missing_file_exits_2(capsys):
     {"n_vertices": 2, "n_colors": 1, "kind": "bogus", "edges": [[0, 1, 0]]},
     {"n_vertices": -1, "n_colors": 1, "edges": []},
     {"n_vertices": 4, "n_colors": -1, "edges": []},
+    # would load and solve, but save_instance could not write the graph back
+    {"n_vertices": 2, "n_colors": 1, "sides": ["a", "b"], "edges": [[0, 1, 0]]},
 ], ids=["missing_n_colors", "top_level_list", "non_integer_edge",
-        "short_edge", "unknown_kind", "negative_n_vertices", "negative_n_colors"])
-@pytest.mark.parametrize("solver", ["exact", "sampling"])
+        "short_edge", "unknown_kind", "negative_n_vertices", "negative_n_colors",
+        "non_binary_sides"])
+@pytest.mark.parametrize("solver", ["exact", "sampling", "greedy"])
 def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc, solver):
     inst = tmp_path / "bad.json"
     inst.write_text(json.dumps(doc))
@@ -277,19 +280,28 @@ def test_rainbow_seed_env_used_when_flag_absent(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["seed"] == 3  # flag wins
 
 
-def test_reports_reproducible_under_source_date_epoch(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_reports_reproducible_under_source_date_epoch(tmp_path, capsys, monkeypatch,
+                                                      solver):
     inst = tmp_path / "i.json"
-    run(["generate", "--family", "latin_cayley", "--n", "6", "--seed", "3",
-         "-o", str(inst)], capsys)
+    family = (["circulant_two_factor", "--d", "5"] if solver == "alspach"
+              else ["latin_cayley", "--n", "6"])
+    run(["generate", "--family", *family, "--seed", "3", "-o", str(inst)], capsys)
     out_path = tmp_path / "report.json"
+    argv = ["solve", "--solver", solver, "--seed", "4", "-o", str(out_path), str(inst)]
+    # the solve command alone reads the clock, whichever solver it runs
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    code, _, _ = run(argv, capsys)
+    elapsed_ms = json.loads(out_path.read_text())["elapsed_ms"]
+    assert code == 0 and type(elapsed_ms) is int and elapsed_ms >= 0
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     outs = []
     for _ in range(2):
-        code, _, _ = run(["solve", "--solver", "sampling", "--seed", "4",
-                          "-o", str(out_path), str(inst)], capsys)
+        code, _, _ = run(argv, capsys)
         assert code == 0
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
+    assert json.loads(outs[0])["elapsed_ms"] == 0
 
 
 _SMALL = st.integers(-2, 6)

@@ -8,9 +8,8 @@ import pytest
 
 from rainbowmatch.generators import (gen_latin, gen_triangle_lb, gen_two_k4)
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
-from rainbowmatch.solvers import (AugmentConfig, augment, exact_max_rainbow,
-                                  greedy_maximal, sampling_solve,
-                                  SamplingConfig)
+from rainbowmatch.solvers import (augment, exact_max_rainbow, greedy_maximal,
+                                  sampling_solve)
 
 
 def brute_force_max(graph):
@@ -83,9 +82,8 @@ def test_oracle_dominates_heuristics():
     g = gen_latin(6, "random", 5)
     exact_size = exact_max_rainbow(g)[0]
     assert exact_size >= len(greedy_maximal(g, "rare_color_first", 1))
-    assert exact_size >= len(augment(g, greedy_maximal(g, "input", 0),
-                                     AugmentConfig(seed=2)))
-    assert exact_size >= len(sampling_solve(g, SamplingConfig(p=0.5, seed=3)).matching)
+    assert exact_size >= len(augment(g, greedy_maximal(g, "input", 0), seed=2))
+    assert exact_size >= len(sampling_solve(g, 0.5, seed=3).matching)
 
 
 def _isotope(n, seed):

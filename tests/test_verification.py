@@ -79,8 +79,8 @@ def test_sweep_refuses_empty_surplus_list():
 def test_sweep_runs_the_strong_checkers_p(monkeypatch, family, theorem, p):
     used = []  # the p of every stubbed solve
 
-    def fake_solve(graph, cfg):
-        used.append(cfg.p)
+    def fake_solve(graph, p, seed):
+        used.append(p)
         return SimpleNamespace(defect=0)
 
     monkeypatch.setattr(verification, "gen_ab", lambda *args: None)
