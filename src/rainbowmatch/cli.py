@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from .seeding import derive_seed
 from .solvers import (SolveReport, alspach_solve, augment, check_depth,
                       check_resamples, default_p, exact_max_rainbow,
                       greedy_maximal, sampling_solve)
+from .solvers.augment import MAX_DEPTH
 from .verification import PIPELINES, THEOREMS, check, sweep_surplus
 
 def _parse_int_list(text: str) -> list[int]:
@@ -215,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run a solver on an instance file")
     s.add_argument("--solver", required=True, choices=list(SOLVERS))
     s.add_argument("--p", default="auto", help="sampling probability or 'auto'")
-    s.add_argument("--depth", type=int, default=9)
+    s.add_argument("--depth", type=int, default=MAX_DEPTH,
+                   help="longest augmenting path in edges, odd and at least 3 "
+                   f"(default: {MAX_DEPTH})")
     s.add_argument("--resamples", type=int, default=5)
     s.add_argument("--node-budget", type=_positive_int, default=None,
                    metavar="N", help="search nodes before the exact solver "
@@ -242,12 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: each built parser holds reference cycles
+    that only the cyclic GC frees, so main does not build one per call."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 2

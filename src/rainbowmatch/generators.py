@@ -167,9 +167,12 @@ def gen_grinblat(n: int, v: int, m: int, seed: int) -> ColoredMultigraph:
 
     append = edges.append
     random_ = rng.random
+    # every color shuffles a copy of one id list, so each vertex id is one
+    # int object across all edges rather than one per color
+    ids = list(range(pool))
     for c in range(n):
         ratio = random_()  # triangle share of this color's clique budget
-        available = list(range(pool))
+        available = ids.copy()
         rng.shuffle(available)
         idx = 0
         spanned = 0

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
+from operator import eq
 from typing import Iterable, Optional
 
 from .errors import InvalidInstance
@@ -88,10 +88,31 @@ class ColoredMultigraph:
         return len(self.edges)
 
     def max_multiplicity(self) -> int:
-        """Most edges on any one vertex pair; 0 without edges."""
+        """Most edges on any one vertex pair; 0 without edges.
+
+        The pair keys are sorted once.  A run of m equal keys exists iff some
+        key equals the one m - 1 places on, which one C-level scan decides; m
+        doubles until no such run exists, then bisection finds the longest.
+        """
         n = self.n_vertices
-        counts = Counter([u * n + v if u < v else v * n + u for u, v, _ in self.edges])
-        return max(counts.values(), default=0)
+        keys = [u * n + v if u < v else v * n + u for u, v, _ in self.edges]
+        if not keys:
+            return 0
+        keys.sort()
+
+        def has_run(m: int) -> bool:
+            return any(map(eq, keys, islice(keys, m - 1, None)))
+
+        lo, hi = 1, 2  # a run of lo exists; of hi, unknown until tested
+        while has_run(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # a run of lo exists, none of hi
+            mid = (lo + hi) // 2
+            if has_run(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def to_json_dict(self, kind: ColorClassKind = ColorClassKind.ARBITRARY) -> dict:
         doc = {
@@ -178,12 +199,14 @@ def load_instance(path: str) -> tuple[ColoredMultigraph, ColorClassKind, str]:
     # malformed fields surface as the errors the constructor raises on them,
     # so a large file is not walked twice to validate it
     try:
-        graph = ColoredMultigraph(
-            n_vertices=doc["n_vertices"],
-            n_colors=doc["n_colors"],
-            edges=[tuple(e) for e in doc["edges"]],
-            sides=doc.get("sides"),
-        )
+        n_vertices, n_colors, edges = doc["n_vertices"], doc["n_colors"], doc["edges"]
+        if type(edges) is not list:
+            raise TypeError(f"edges must be a list, not {type(edges).__name__}")
+        # each parsed [u, v, c] list is freed as its tuple replaces it, so the
+        # file's edges are never held twice
+        for i, e in enumerate(edges):
+            edges[i] = tuple(e)
+        graph = ColoredMultigraph(n_vertices, n_colors, edges, sides=doc.get("sides"))
     except KeyError as exc:
         raise InvalidInstance(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -322,9 +345,10 @@ def restrict_with_map(graph: ColoredMultigraph,
     keep = set(vertices)
     edges = []
     edge_map = []
-    for eid, (u, v, c) in enumerate(graph.edges):
+    for eid, e in enumerate(graph.edges):
+        u, v, _ = e
         if u in keep and v in keep:
-            edges.append((u, v, c))
+            edges.append(e)  # the parent's tuple, not a copy
             edge_map.append(eid)
     sub = ColoredMultigraph(graph.n_vertices, graph.n_colors, edges,
                             sides=None if graph.sides is None else list(graph.sides))

@@ -78,9 +78,13 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
                 return True
         return False
 
-    for i in sorted(range(len(wilds)), key=lambda i: len(options(i))):
-        if not try_place(i, set()):
-            return None
+    placed = all(try_place(i, set())
+                 for i in sorted(range(len(wilds)), key=lambda i: len(options(i))))
+    # try_place reaches itself through its closure; unlinking it lets
+    # reference counting free it now rather than the cyclic GC later
+    del try_place
+    if not placed:
+        return None
     pick: dict[int, tuple[int, int]] = {}
     for c, i in holder.items():
         eid = next(e for (cc, e) in wilds[i].options if cc == c)
@@ -235,9 +239,9 @@ class _Augmenter:
                         return False
             return False
 
-        if dfs(v0, 1):
-            return removed, found
-        return None
+        found_path = dfs(v0, 1)
+        del dfs  # a self-referencing closure, unlinked as in _assign_colors
+        return (removed, found) if found_path else None
 
     def _apply(self, removed: list[int], assignment: list[tuple[int, int]]) -> None:
         for meid in removed:

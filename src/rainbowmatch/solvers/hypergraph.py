@@ -54,7 +54,9 @@ def nibble_match(h: AuxHypergraph, seed: int = 0) -> list[int]:
     n_elements = (len({x for x, _, _ in triples} | {y for _, y, _ in triples})
                   + len(h.color_degree))
     rounds = max(1, math.ceil(math.log(max(2, n_elements))))
-    priority = list(range(len(triples)))
+    # priority and alive share one set of index ints
+    alive = list(range(len(triples)))
+    priority = alive.copy()
     rng.shuffle(priority)
 
     matched: list[int] = []
@@ -73,7 +75,6 @@ def nibble_match(h: AuxHypergraph, seed: int = 0) -> list[int]:
                 used_v.update((x, y))
                 used_c.add(c)
 
-    alive = list(range(len(triples)))
     for _ in range(rounds):
         if not alive:
             break

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -31,6 +32,24 @@ def test_augment_reaches_n_minus_one_on_odd_cayley():
     start = greedy_maximal(g, "input", 0)
     out = augment(g, start, seed=5)
     assert len(out) >= 6
+
+
+def test_augment_leaves_no_cyclic_garbage():
+    # the search closures are unlinked after each use, so reference counting
+    # frees an augment call's whole state
+    g = gen_latin(8, "cayley", 0)
+    start = greedy_maximal(g, "rare_color_first")
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = augment(g, start)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    # greedy already holds the optimum, 7, so the search ran to its end
+    assert len(start) == len(out) == 7
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from rainbowmatch.cli import SOLVERS, build_parser, main
 from rainbowmatch.generators import FAMILIES
 from rainbowmatch.graph import RainbowMatching
 from rainbowmatch.solvers import SolveReport
+from rainbowmatch.solvers.augment import MAX_DEPTH
 from rainbowmatch.verification import PIPELINES, THEOREMS
 
 
@@ -52,13 +54,16 @@ def test_solve_missing_file_exits_2(capsys):
     [[0, 1, 0]],
     {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1.5, 0]]},
     {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1]]},
+    {"n_vertices": 2, "n_colors": 1, "edges": [[0, 1, 0, 0]]},
+    {"n_vertices": 2, "n_colors": 1, "edges": [5]},
+    {"n_vertices": 2, "n_colors": 1, "edges": {}},
     {"n_vertices": 2, "n_colors": 1, "kind": "bogus", "edges": [[0, 1, 0]]},
     {"n_vertices": -1, "n_colors": 1, "edges": []},
     {"n_vertices": 4, "n_colors": -1, "edges": []},
     # would load and solve, but save_instance could not write the graph back
     {"n_vertices": 2, "n_colors": 1, "sides": ["a", "b"], "edges": [[0, 1, 0]]},
 ], ids=["missing_n_colors", "top_level_list", "non_integer_edge",
-        "short_edge", "unknown_kind", "negative_n_vertices", "negative_n_colors",
+        "short_edge", "long_edge", "scalar_edge", "edges_object", "unknown_kind", "negative_n_vertices", "negative_n_colors",
         "non_binary_sides"])
 @pytest.mark.parametrize("solver", ["exact", "sampling", "greedy"])
 def test_solve_malformed_instance_exits_2(tmp_path, capsys, doc, solver):
@@ -389,6 +394,37 @@ def _choices(command, option):
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     parser = sub.choices[command]
     return next(a.choices for a in parser._actions if option in a.option_strings)
+
+
+def test_solve_depth_defaults_to_augment_max_depth():
+    args = build_parser().parse_args(["solve", "--solver", "augment", "inst.json"])
+    assert args.depth == MAX_DEPTH
+
+
+def _cyclic_garbage(argv):
+    """Objects the cyclic GC frees after one main(argv), run with it disabled."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _ = _quiet_main(argv)
+        assert code == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_main_reuses_its_parser(tmp_path):
+    inst = str(tmp_path / "latin.json")
+    generate = ["generate", "--family", "latin_random", "--n", "12", "--seed", "1",
+                "-o", inst]
+    _quiet_main(generate)  # the process's parser may be built here
+    assert _cyclic_garbage(generate) == 0
+    # a solve report's indent=2 encoder leaves a few cycles of its own; the
+    # sampling solver, whose augment calls once left thousands, adds none
+    greedy = _cyclic_garbage(["solve", "--solver", "greedy", inst])
+    assert _cyclic_garbage(["solve", "--solver", "sampling", inst]) <= greedy
 
 
 def test_each_id_option_takes_its_choices_from_one_table():

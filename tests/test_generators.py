@@ -88,6 +88,14 @@ def test_grinblat_spans_at_least_v():
         assert report.decompositions[c].spanned_vertices >= 30
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grinblat_shares_one_object_per_vertex_id(seed):
+    g = gen_grinblat(400, 1200, 400, seed)
+    # ids above 256 are not cached by CPython, so each color building its
+    # own id list would give up to n objects per vertex
+    assert len({id(x) for u, v, _ in g.edges for x in (u, v)}) <= g.n_vertices
+
+
 def test_grinblat_cap_fast_path_matches_slow_path():
     # a cap of n can never bind, so both bookkeeping paths must agree
     assert gen_grinblat(10, 30, 10, 5).edges == gen_grinblat(10, 30, 9, 5).edges

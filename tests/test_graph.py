@@ -1,13 +1,17 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.cli import build_parser
-from rainbowmatch.generators import FAMILIES
+from rainbowmatch.errors import InvalidInstance
+from rainbowmatch.generators import FAMILIES, gen_two_factorized
 from rainbowmatch.graph import (_BLOCK, ColorClassKind,
                                 ColoredMultigraph, RainbowMatching,
                                 draw_sample_split,
@@ -43,6 +47,72 @@ def test_multiplicity_counts_parallel_edges():
     assert g.max_multiplicity() == 3  # both orientations count toward one pair
     assert ColoredMultigraph(3, 1, [(0, 1, 0), (1, 2, 0)]).max_multiplicity() == 1
     assert ColoredMultigraph(3, 1, []).max_multiplicity() == 0
+
+
+def _counter_multiplicity(graph):
+    """The Counter definition max_multiplicity replaced."""
+    counts = Counter(frozenset((u, v)) for u, v, _ in graph.edges)
+    return max(counts.values(), default=0)
+
+
+def test_multiplicity_matches_counter_on_random_multigraphs():
+    for seed in range(300):
+        rng = random.Random(seed)
+        nv = rng.randint(2, 12)
+        # few vertices and up to 60 edges, so multiplicities range widely
+        edges = [(*rng.sample(range(nv), 2), rng.randrange(4))
+                 for _ in range(rng.randint(0, 60))]
+        graph = ColoredMultigraph(nv, 4, edges)
+        assert graph.max_multiplicity() == _counter_multiplicity(graph), seed
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 16, 17])
+def test_multiplicity_of_edges_on_one_pair(m):
+    # each side of a power of two: the doubling's last hit and the bisection's ends
+    edges = [(0, 1, c) if c % 2 else (1, 0, c) for c in range(m)]
+    assert ColoredMultigraph(2, m, edges).max_multiplicity() == m
+    # one lighter pair beside it leaves the answer unchanged
+    lighter = [(1, 2, c) for c in range(m - 1)]
+    assert ColoredMultigraph(3, m, lighter + edges).max_multiplicity() == m
+
+
+@pytest.mark.parametrize("edges", [{}, {"0": [0, 1, 0]}, 7, "010", None],
+                         ids=["empty_object", "object", "number", "string", "null"])
+def test_load_refuses_non_list_edges(tmp_path, edges):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n_vertices": 2, "n_colors": 1, "edges": edges}))
+    with pytest.raises(InvalidInstance, match="edges must be a list"):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize("d", [60, 300])
+def test_load_and_multiplicity_hold_the_instance_once(tmp_path, d):
+    """Traced peaks, as multiples of the memory the loaded graph holds.
+
+    Holding the parsed lists beside the new tuples peaked at 1.8x (d = 60)
+    and 1.6x (d = 300); a Counter over the pairs added 0.8x and 0.7x.
+    """
+    path = tmp_path / "circulant.json"
+    save_instance(gen_two_factorized(d, "circulant"), str(path), ColorClassKind.TWO_FACTOR)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        graph, _, _ = load_instance(str(path))
+        held, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert graph.max_multiplicity() == 1
+        multiplicity_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    size = held - base
+    assert graph.n_edges == d * (2 * d + 1)
+    assert load_peak - base <= 1.3 * size
+    assert multiplicity_peak - held <= 0.5 * size
 
 
 def test_instance_round_trip(tmp_path):
@@ -174,6 +244,13 @@ def test_restrict_keeps_vertex_ids_and_colors():
     assert sub.n_colors == g.n_colors
     assert all(g.edges[edge_map[i]] == e for i, e in enumerate(sub.edges))
     assert sub.n_edges == 3
+
+
+def test_restrict_shares_the_parent_edge_tuples():
+    g = gen_two_factorized(20, "circulant", 5)
+    sub, edge_map = restrict_with_map(g, range(0, g.n_vertices, 3))
+    assert 0 < sub.n_edges < g.n_edges
+    assert all(e is g.edges[eid] for e, eid in zip(sub.edges, edge_map, strict=True))
 
 
 @settings(max_examples=50, deadline=None)
