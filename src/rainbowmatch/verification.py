@@ -19,7 +19,7 @@ from .solvers import (alspach_solve, default_p, exact_max_rainbow,
                       greedy_maximal, sampling_solve)
 
 # nodes per certification cell, so "certified" depends on the instance alone;
-# >= 500x the most a default cell (18) or an acceptance criterion 4 cell (182,
+# >= 500x the most a default cell (18) or an acceptance criterion 4 cell (32,
 # the order-6 cyclic square) needs
 ORACLE_NODE_BUDGET = 100_000
 

@@ -229,11 +229,11 @@ def test_solve_refuses_a_kind_the_solver_cannot_take(tmp_path, capsys):
 
 
 def test_exact_node_budget(tmp_path, capsys):
-    # the order-6 cyclic square needs 182 search nodes to certify its optimum
+    # the order-6 cyclic square needs 32 search nodes to certify its optimum
     inst = tmp_path / "inst.json"
     run(["generate", "--family", "latin_cayley", "--n", "6", "--seed", "3",
          "-o", str(inst)], capsys)
-    for budget, optimal in (("181", False), ("182", True)):
+    for budget, optimal in (("31", False), ("32", True)):
         code, out, _ = run(["solve", "--solver", "exact", "--node-budget", budget,
                             str(inst)], capsys)
         assert code == 0 and json.loads(out)["optimal"] is optimal

@@ -37,9 +37,8 @@ def test_verdicts_read_no_clock():
     assert found == []
 
 
-def test_expander_has_no_recursion():
-    """The expander's pointer chase runs in a loop, so the recursion limit caps nothing."""
-    name = "solvers/expander.py"
+def _self_calls(name):
+    """Each call a function in module `name` makes to a function of its own name."""
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
     found = []
     for fn in ast.walk(tree):
@@ -53,4 +52,14 @@ def test_expander_has_no_recursion():
                       else callee.attr if isinstance(callee, ast.Attribute) else None)
             if called == fn.name:
                 found.append(f"{name}:{node.lineno} {fn.name}")
-    assert found == []
+    return found
+
+
+def test_expander_has_no_recursion():
+    """The expander's pointer chase runs in a loop, so the recursion limit caps nothing."""
+    assert _self_calls("solvers/expander.py") == []
+
+
+def test_exact_has_no_recursion():
+    """The branch and bound and the symmetry search run on explicit stacks."""
+    assert _self_calls("solvers/exact.py") == []
