@@ -12,7 +12,7 @@ from .generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
                          gen_two_k4)
 from .seeding import derive_seed
 from .solvers import (AuxHypergraph, BipartiteReduction, SolveReport,
-                      alspach_solve, augment, build_aux_hypergraph,
+                      alspach_solve, augment_flagged, build_aux_hypergraph,
                       edge_disjoint_matchings, exact_max_rainbow,
                       expander_matching, greedy_maximal, nibble_match,
                       orient_bipartition_reduce, sampling_solve)

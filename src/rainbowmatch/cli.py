@@ -24,7 +24,7 @@ from .generators import FAMILIES
 from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
                     load_instance, save_instance)
 from .seeding import derive_seed
-from .solvers import (SolveReport, alspach_solve, augment, check_depth,
+from .solvers import (SolveReport, alspach_solve, augment_flagged, check_depth,
                       check_resamples, default_p, exact_max_rainbow,
                       greedy_maximal, sampling_solve)
 from .solvers.augment import MAX_DEPTH
@@ -117,7 +117,7 @@ def _solve_greedy(graph: ColoredMultigraph, args: argparse.Namespace,
 def _solve_augment(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
     matching = greedy_maximal(graph, "rare_color_first")
-    matching = augment(graph, matching, args.depth, derive_seed(seed, "augment"))
+    matching, _ = augment_flagged(graph, matching, args.depth, derive_seed(seed, "augment"))
     return SolveReport.single_phase("greedy+augment", matching, graph.n_colors, seed)
 
 

@@ -265,8 +265,6 @@ def _round_robin_square(n: int) -> list[list[int]]:
     Off-diagonal entries encode a 1-factorization of K_n with n-1 symbols
     1..n-1 (circle method); the diagonal carries symbol 0.
     """
-    if n % 2 != 0:
-        raise ParameterViolation("symmetric square with constant diagonal needs even n")
     s = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         for j in range(n - 1):
@@ -282,7 +280,8 @@ def gen_two_factorized(d: int, mode: str, extra_vertices: int = 0,
 
     circulant: color i is the offset-(i+1) circulant 2-factor on Z_N with
     N = 2d+1+extra_vertices.  symmetric_latin: doubled-vertex construction
-    from a symmetric order-(d+1) square with constant diagonal (d odd).
+    from a symmetric order-(d+1) square with constant diagonal (d odd, no
+    extra vertices).
     """
     if d < 1:
         raise ParameterViolation("d >= 1 required")
@@ -300,6 +299,11 @@ def gen_two_factorized(d: int, mode: str, extra_vertices: int = 0,
                 edges.append((a, b, c))
         return ColoredMultigraph(n_vertices, d, edges)
     if mode == "symmetric_latin":
+        if d % 2 == 0:
+            raise ParameterViolation(f"symmetric_latin: d must be odd, got {d}")
+        if extra_vertices:
+            raise ParameterViolation(
+                f"symmetric_latin takes no extra vertices, got {extra_vertices}")
         n = d + 1
         square = _round_robin_square(n)
         # vertices i (minus copy) and n+i (plus copy)

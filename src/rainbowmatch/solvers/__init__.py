@@ -1,5 +1,5 @@
 from .greedy import greedy_maximal
-from .augment import augment, check_depth
+from .augment import augment_flagged, check_depth
 from .sampling import SolveReport, check_resamples, default_p, sampling_solve
 from .hypergraph import AuxHypergraph, build_aux_hypergraph, nibble_match
 from .two_factor import alspach_solve
@@ -9,7 +9,7 @@ from .exact import exact_max_rainbow
 
 __all__ = [
     "greedy_maximal",
-    "augment", "check_depth",
+    "augment_flagged", "check_depth",
     "SolveReport", "check_resamples", "default_p", "sampling_solve",
     "AuxHypergraph", "build_aux_hypergraph", "nibble_match",
     "alspach_solve",

@@ -281,20 +281,14 @@ class _Augmenter:
         return self.matching(), self.exhausted
 
 
-def augment(graph: ColoredMultigraph, matching: RainbowMatching,
-            max_depth: int = MAX_DEPTH, seed: int = 0) -> RainbowMatching:
-    """Grow a rainbow matching by bounded-depth alternating paths.
+def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
+                    max_depth: int = MAX_DEPTH, seed: int = 0
+                    ) -> tuple[RainbowMatching, bool]:
+    """Grow a rainbow matching by bounded-depth alternating paths; returns
+    it and whether NODE_BUDGET ran out.
 
     Monotone: the result is never smaller than the input.  Budget exhaustion
     returns the current matching.
     """
-    result, _ = augment_flagged(graph, matching, max_depth, seed)
-    return result
-
-
-def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
-                    max_depth: int = MAX_DEPTH, seed: int = 0
-                    ) -> tuple[RainbowMatching, bool]:
-    """augment variant also reporting whether NODE_BUDGET ran out."""
     check_depth(max_depth)
     return _Augmenter(graph, matching, max_depth, seed).run()

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
-from .augment import augment
+from .augment import augment_flagged
 from .greedy import greedy_maximal
 
 
@@ -199,7 +199,7 @@ def exact_max_rainbow(graph: ColoredMultigraph,
     nodes (None means no limit).  The incumbent is seeded with greedy +
     augmentation, so the result never trails the heuristics.
     """
-    seed_matching = augment(graph, greedy_maximal(graph, "rare_color_first"))
+    seed_matching, _ = augment_flagged(graph, greedy_maximal(graph, "rare_color_first"))
     best_pairs = list(seed_matching.pairs)
     best_size = len(best_pairs)
 

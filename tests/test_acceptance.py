@@ -1,27 +1,43 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Every criterion is implemented as a pure function of fixed seeds returning a
-JSON-serializable report; the final test re-runs all of them and checks the
-reports are byte-identical.
+JSON-serializable report.  Criteria 1, 2, 3, 7, 10(b) and 10(c) run the
+checkers that `verify --theorem` runs (`verification.THEOREMS`: grinblat_weak,
+grinblat_strong, ab_bipartite_strong, alspach_strong, ab_general_strong and
+grinblat_multiplicity) at their own seeds, and generate and solve nothing
+themselves.  When the module's first test starts, a child Python process with
+a different PYTHONHASHSEED starts too; it runs criteria 10 down to 1 and
+prints their serialized reports, and the final test checks that they are
+byte-identical to this process's, so a report that depends on hash order or
+on state an earlier criterion left behind fails it.  Run as a script, this
+module is that child.
 """
 
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import rainbowmatch
 from rainbowmatch.generators import (gen_ab, gen_grinblat, gen_latin,
                                      gen_triangle_lb, gen_two_factorized,
                                      gen_two_k4)
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
 from rainbowmatch.seeding import derive_seed
-from rainbowmatch.solvers import (alspach_solve, augment, edge_disjoint_matchings,
+from rainbowmatch.solvers import (augment_flagged, edge_disjoint_matchings,
                                   exact_max_rainbow, expander_matching,
-                                  greedy_maximal, orient_bipartition_reduce,
-                                  sampling_solve)
-from rainbowmatch.verification import ORACLE_NODE_BUDGET
+                                  greedy_maximal, orient_bipartition_reduce)
+from rainbowmatch.verification import ORACLE_NODE_BUDGET, THEOREMS
 
 BASE_SEED = 20250824
+# a hung child fails criterion 11 rather than the whole run
+CHILD_TIMEOUT_S = 3600
 _reports: dict[str, dict] = {}
 # one human-readable verdict line per criterion; conftest prints these in the
 # terminal summary, after pytest's output capture has been torn down
@@ -37,19 +53,30 @@ def _record(name: str, report: dict) -> dict:
     return report
 
 
+def _cells(theorem_id: str, n: int, trials: int, *tag) -> list[tuple[bool, float]]:
+    """(passed, margin) of THEOREMS[theorem_id]'s checker on `trials` cells at
+    size n, with instance and solver seeds derived from BASE_SEED and tag."""
+    checker = THEOREMS[theorem_id].checker
+    return [checker(n, derive_seed(BASE_SEED, *tag, trial, "i"),
+                    derive_seed(BASE_SEED, *tag, trial, "s"))
+            for trial in range(trials)]
+
+
+def _defect_free(theorem_id: str, n: int, trials: int, *tag) -> int:
+    """Trials in which a strong checker passed: its pipeline reached defect 0."""
+    return sum(passed for passed, _ in _cells(theorem_id, n, trials, *tag))
+
+
 # -- criterion 1: maximal-matching size invariant on (n, 3n) instances -------
 
 def criterion_1() -> dict:
     violations = []
     for n in (25, 100, 400):
         bound = n - math.isqrt(n)
-        for trial in range(50):
-            iseed = derive_seed(BASE_SEED, "c1", n, trial, "i")
-            sseed = derive_seed(BASE_SEED, "c1", n, trial, "s")
-            g = gen_grinblat(n, 3 * n, n, iseed)
-            size = len(greedy_maximal(g, "rare_color_first", sseed))
-            if size < bound:
-                violations.append([n, trial, size])
+        for trial, (passed, margin) in enumerate(
+                _cells("grinblat_weak", n, 50, "c1", n)):
+            if not passed:
+                violations.append([n, trial, int(margin) + bound])
     return {"pass": not violations, "violations": violations,
             "detail": f"{len(violations)} size-bound violations over 150 trials"}
 
@@ -60,25 +87,11 @@ def test_criterion_1_greedy_size_invariant():
 
 # -- criterion 2: strong clique-union pipeline -------------------------------
 
-def _pipeline_defects(tag: str, make, p: float, trials: int) -> list[int]:
-    defects = []
-    for trial in range(trials):
-        iseed = derive_seed(BASE_SEED, tag, trial, "i")
-        sseed = derive_seed(BASE_SEED, tag, trial, "s")
-        report = sampling_solve(make(iseed), p, seed=sseed)
-        defects.append(report.defect)
-    return defects
-
-
 def criterion_2() -> dict:
     per_n = {}
     ok = True
     for n in (64, 100):
-        surplus = math.ceil(40 * n ** 0.75)
-        defects = _pipeline_defects(
-            f"c2-{n}", lambda s: gen_grinblat(n, 3 * n + surplus, n, s),
-            min(0.5, 2 * n ** -0.25), 50)
-        wins = sum(d == 0 for d in defects)
+        wins = _defect_free("grinblat_strong", n, 50, f"c2-{n}")
         per_n[str(n)] = wins
         ok = ok and wins >= 49
     return {"pass": ok, "defect_free": per_n,
@@ -95,11 +108,7 @@ def criterion_3() -> dict:
     per_n = {}
     ok = True
     for n in (64, 256):
-        surplus = math.ceil(7 * n ** 0.75)
-        defects = _pipeline_defects(
-            f"c3-{n}", lambda s: gen_ab(n, surplus, True, s),
-            min(0.5, 2 * n ** -0.25), 50)
-        wins = sum(d == 0 for d in defects)
+        wins = _defect_free("ab_bipartite_strong", n, 50, f"c3-{n}")
         per_n[str(n)] = wins
         ok = ok and wins >= 49
     return {"pass": ok, "defect_free": per_n,
@@ -196,13 +205,7 @@ def criterion_7() -> dict:
     per_d = {}
     ok = True
     for d in (20, 40):
-        extra = math.ceil(d ** 0.8) - 1
-        wins = 0
-        for trial in range(20):
-            iseed = derive_seed(BASE_SEED, "c7", d, trial, "i")
-            sseed = derive_seed(BASE_SEED, "c7", d, trial, "s")
-            g = gen_two_factorized(d, "circulant", extra, iseed)
-            wins += alspach_solve(g, seed=sseed, max_resamples=5).defect == 0
+        wins = _defect_free("alspach_strong", d, 20, "c7", d)
         per_d[str(d)] = wins
         ok = ok and wins >= 19
     return {"pass": ok, "defect_free": per_d,
@@ -221,7 +224,7 @@ def criterion_8() -> dict:
     for trial in range(50):
         seed = derive_seed(BASE_SEED, "c8", trial)
         red = orient_bipartition_reduce(g, seed)
-        lifted = red.lift(greedy_maximal(red.graph, "rare_color_first", seed))
+        lifted = red.lift(greedy_maximal(red.graph, "rare_color_first"))
         ok, why = is_rainbow_matching(g, lifted)
         if not ok:
             bad.append([trial, why])
@@ -292,33 +295,21 @@ def criterion_10() -> dict:
         for trial in range(5):
             sseed = derive_seed(BASE_SEED, "c10a", gi, trial)
             start = greedy_maximal(g, "random", sseed)
-            once = augment(g, start, seed=sseed)
-            twice = augment(g, once, seed=sseed)
+            once, _ = augment_flagged(g, start, seed=sseed)
+            twice, _ = augment_flagged(g, once, seed=sseed)
             if len(once) < len(start) or sorted(twice.pairs) != sorted(once.pairs):
                 prop_fail.append([gi, trial])
 
-    # (b) general (non-bipartite) pipeline at generous surplus
+    # (b) general (non-bipartite) pipeline at generous surplus and
+    # (c) bounded-multiplicity clique-union pipeline
     per_run = {}
     ok_runs = True
-    for n in (64, 100):
-        defects = _pipeline_defects(
-            f"c10b-{n}",
-            lambda s: gen_ab(n, math.ceil(n ** 0.95), False, s),
-            min(0.5, 7 * n ** (-1 / 16)), 50)
-        wins = sum(d == 0 for d in defects)
-        per_run[f"general_{n}"] = wins
-        ok_runs = ok_runs and wins >= 49
-
-    # (c) bounded-multiplicity clique-union pipeline
-    for n in (64, 100):
-        m = math.ceil(n / 10)
-        defects = _pipeline_defects(
-            f"c10c-{n}",
-            lambda s: gen_grinblat(n, 3 * n + math.ceil(n ** 0.9), m, s),
-            min(0.5, 2 * n ** -0.25), 50)
-        wins = sum(d == 0 for d in defects)
-        per_run[f"multiplicity_{n}"] = wins
-        ok_runs = ok_runs and wins >= 49
+    for run, theorem_id, tag in (("general", "ab_general_strong", "c10b"),
+                                 ("multiplicity", "grinblat_multiplicity", "c10c")):
+        for n in (64, 100):
+            wins = _defect_free(theorem_id, n, 50, f"{tag}-{n}")
+            per_run[f"{run}_{n}"] = wins
+            ok_runs = ok_runs and wins >= 49
 
     ok = not prop_fail and ok_runs
     return {"pass": ok, "property_failures": prop_fail, "defect_free": per_run,
@@ -340,13 +331,44 @@ CRITERIA = {
 }
 
 
-def test_criterion_11_reports_are_deterministic():
-    diffs = []
-    for name, fn in CRITERIA.items():
-        first = _reports.get(name) or fn()
-        again = fn()
-        if json.dumps(first, sort_keys=True) != json.dumps(again, sort_keys=True):
-            diffs.append(name)
+def _child_env() -> dict:
+    """This environment with another PYTHONHASHSEED than ours, importing the
+    same rainbowmatch package."""
+    env = dict(os.environ)
+    ours = env.get("PYTHONHASHSEED", "")
+    env["PYTHONHASHSEED"] = str((int(ours) + 1) % 2 ** 32) if ours.isdigit() else "1"
+    src = str(Path(rainbowmatch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.fixture(scope="module", autouse=True)
+def rerun():
+    """The child re-run, started with the module's first test so that it runs
+    beside criteria 1-10, and killed and reaped however the module ends."""
+    with subprocess.Popen([sys.executable, __file__], env=_child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()
+
+
+def test_criterion_11_reports_are_deterministic(rerun):
+    # a criterion this run deselected is computed here, while the child runs
+    ours = {name: json.dumps(_reports.get(name) or fn(), sort_keys=True)
+            for name, fn in CRITERIA.items()}
+    out, err = rerun.communicate(timeout=CHILD_TIMEOUT_S)
+    assert rerun.returncode == 0, err
+    again = json.loads(out)
+    diffs = [name for name in CRITERIA if ours[name] != again[name]]
     report = {"pass": not diffs, "non_deterministic": diffs,
               "detail": f"{len(diffs)} criteria with differing re-run reports"}
     assert _record("11", report)["pass"]
+
+
+if __name__ == "__main__":
+    # the re-run criterion 11 compares against: criteria 10 down to 1
+    json.dump({name: json.dumps(CRITERIA[name](), sort_keys=True)
+               for name in reversed(CRITERIA)}, sys.stdout)

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import importlib
 import json
 import random
 
@@ -8,18 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainbowmatch.solvers.augment as augment_module
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
 from rainbowmatch.graph import ColoredMultigraph, RainbowMatching, is_rainbow_matching
-from rainbowmatch.solvers import augment, greedy_maximal, sampling_solve
-from rainbowmatch.solvers.augment import augment_flagged
-
-# the package re-exports the augment() function under the submodule's name
-augment_module = importlib.import_module("rainbowmatch.solvers.augment")
+from rainbowmatch.solvers import augment_flagged, greedy_maximal, sampling_solve
 
 
 def test_augment_from_empty_is_valid():
     g = gen_latin(6, "random", 2)
-    m = augment(g, RainbowMatching(), seed=1)
+    m, _ = augment_flagged(g, RainbowMatching(), seed=1)
     ok, why = is_rainbow_matching(g, m)
     assert ok, why
     assert len(m) >= 1
@@ -30,7 +26,7 @@ def test_augment_reaches_n_minus_one_on_odd_cayley():
     # augmenter must get within one of it from a greedy start
     g = gen_latin(7, "cayley", 0)
     start = greedy_maximal(g, "input", 0)
-    out = augment(g, start, seed=5)
+    out, _ = augment_flagged(g, start, seed=5)
     assert len(out) >= 6
 
 
@@ -43,7 +39,7 @@ def test_augment_leaves_no_cyclic_garbage():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        out = augment(g, start)
+        out, _ = augment_flagged(g, start)
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -57,7 +53,7 @@ def test_augment_leaves_no_cyclic_garbage():
 def test_augment_monotone_and_valid(seed):
     g = gen_ab(12, 1, False, seed)
     start = greedy_maximal(g, "random", seed)
-    out = augment(g, start, seed=seed)
+    out, _ = augment_flagged(g, start, seed=seed)
     assert len(out) >= len(start)
     ok, why = is_rainbow_matching(g, out)
     assert ok, why
@@ -67,8 +63,8 @@ def test_augment_monotone_and_valid(seed):
 @given(seed=st.integers(0, 2 ** 32))
 def test_augment_idempotent_at_fixpoint(seed):
     g = gen_grinblat(10, 30, 2, seed)
-    once = augment(g, greedy_maximal(g, "input", 0), seed=7)
-    twice = augment(g, once, seed=7)
+    once, _ = augment_flagged(g, greedy_maximal(g, "input", 0), seed=7)
+    twice, _ = augment_flagged(g, once, seed=7)
     assert sorted(twice.pairs) == sorted(once.pairs)
 
 
@@ -76,7 +72,7 @@ def test_budget_exhaustion_returns_current_matching(monkeypatch):
     monkeypatch.setattr(augment_module, "NODE_BUDGET", 5)
     g = gen_ab(20, 0, False, 3)
     start = greedy_maximal(g, "input", 0)
-    out = augment(g, start)
+    out, _ = augment_flagged(g, start)
     assert len(out) >= len(start)
     ok, _ = is_rainbow_matching(g, out)
     assert ok

@@ -228,6 +228,20 @@ def test_solve_refuses_a_kind_the_solver_cannot_take(tmp_path, capsys):
                    "arbitrary, not matching\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "3", "--extra", "7"], "symmetric_latin takes no extra vertices, got 7"),
+    (["--d", "3", "--extra", "-1"], "symmetric_latin takes no extra vertices, got -1"),
+    (["--d", "4"], "symmetric_latin: d must be odd, got 4"),
+], ids=["extra-7", "extra-minus-1", "even-d"])
+def test_generate_symmetric_latin_refusals(tmp_path, capsys, argv, message):
+    # the construction has 2(d+1) vertices and needs an even square order d+1
+    inst = tmp_path / "sym.json"
+    code, out, err = run(["generate", "--family", "symmetric_latin_two_factor",
+                          *argv, "-o", str(inst)], capsys)
+    assert code == 2 and out == "" and not inst.exists()
+    assert err == f"error: {message}\n"
+
+
 def test_exact_node_budget(tmp_path, capsys):
     # the order-6 cyclic square needs 32 search nodes to certify its optimum
     inst = tmp_path / "inst.json"

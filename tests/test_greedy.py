@@ -41,7 +41,7 @@ def test_maximal_size_bound_on_3n_instances(n, seed):
     """Any maximal rainbow matching of an (n, 3n) clique-union instance has
     size at least n - sqrt(n)."""
     g = gen_grinblat(n, 3 * n, n, seed)
-    m = greedy_maximal(g, "rare_color_first", seed)
+    m = greedy_maximal(g, "rare_color_first")
     assert len(m) >= n - math.isqrt(n)
 
 

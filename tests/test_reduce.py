@@ -41,7 +41,7 @@ def test_lifted_matchings_are_rainbow_in_source():
     g = gen_two_factorized(10, "circulant", 4, 0)
     for seed in range(50):
         red = orient_bipartition_reduce(g, seed)
-        matching = greedy_maximal(red.graph, "rare_color_first", seed)
+        matching = greedy_maximal(red.graph, "rare_color_first")
         lifted = red.lift(matching)
         ok, why = is_rainbow_matching(g, lifted)
         assert ok, why
