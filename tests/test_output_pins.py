@@ -1,6 +1,7 @@
-"""SHA-256 pins of `generate` files, `check` reports and `sweep` rows.
+"""SHA-256 pins of `generate` files, `solve` reports, `check` reports and
+`sweep` rows.
 
-An entry of `generators.FAMILIES`, `verification.THEOREMS` or
+An entry of `generators.FAMILIES`, `cli.SOLVERS`, `verification.THEOREMS` or
 `verification.PIPELINES` that calls its generator, solver or split
 probability differently changes a digest here.
 """
@@ -83,6 +84,38 @@ def test_generate_output_is_pinned(tmp_path, family, options, digest):
     path = tmp_path / "inst.json"
     assert main(["generate", "--family", family, *options, "-o", str(path)]) == 0
     assert _sha256(path.read_bytes()) == digest
+
+
+# (solver, generate options, digest of the report file of a seed-7 solve)
+SOLVE_PINS = [
+    ("greedy", ["latin_random", "--n", "9", "--seed", "11"],
+     "c86d9729e6c5d22b8058164af479e10f9e85b4df5e44fbefd07268533f1b3b11"),
+    ("augment", ["latin_random", "--n", "9", "--seed", "11"],
+     "6f7b4d241fa1269d81fede9776f9a6225aa05273fd04238faa0b3bd0df865792"),
+    # this and the first alspach case reach the repair augment
+    ("sampling", ["ab_bipartite", "--n", "16", "--seed", "5"],
+     "f7aa058164dc13d556a3546fcfd5ec32b82387ab99c3e202aba9a418df6fba48"),
+    ("alspach", ["circulant_two_factor", "--d", "5", "--seed", "3"],
+     "adfe0df84c4a8ec36c7bddae7776e0d0944694acf92708aaf4553e77186c3f4c"),
+    # 31 vertices >= 4d: alspach's greedy path
+    ("alspach", ["circulant_two_factor", "--d", "5", "--extra", "20"],
+     "0171cdc3fdef6b903476c0633a381b62979b2cdd4c0230df00188272347377cd"),
+    ("exact", ["latin_cayley", "--n", "6"],
+     "9270de9533a3bfd0134ef9cbad4741df4d7530fe352dc4971e3bb8a2ae62c3ee"),
+]
+
+
+@pytest.mark.parametrize("solver, family_options, digest", SOLVE_PINS,
+                         ids=_pin_ids(SOLVE_PINS))
+def test_solve_report_is_pinned(tmp_path, monkeypatch, solver, family_options,
+                                digest):
+    # relative paths keep the manifest's command line free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    assert main(["generate", "--family", *family_options, "-o", "inst.json"]) == 0
+    assert main(["solve", "--solver", solver, "--seed", "7",
+                 "-o", "report.json", "inst.json"]) == 0
+    assert _sha256((tmp_path / "report.json").read_bytes()) == digest
 
 
 # theorem -> (n values, trials, seed, digest of the sorted-key report JSON)
