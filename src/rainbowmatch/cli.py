@@ -24,10 +24,8 @@ from .generators import FAMILIES
 from .graph import (ColorClassKind, ColoredMultigraph, is_rainbow_matching,
                     load_instance, save_instance)
 from .seeding import derive_seed
-from .solvers import (SolveReport, alspach_solve, augment_flagged, check_depth,
-                      check_resamples, default_p, exact_max_rainbow,
-                      greedy_maximal, sampling_solve)
-from .solvers.augment import MAX_DEPTH
+from .solvers import (SolveReport, alspach_solve, augment_flagged, default_p,
+                      exact_max_rainbow, greedy_maximal, sampling_solve)
 from .verification import PIPELINES, THEOREMS, check, sweep_surplus
 
 def _parse_int_list(text: str) -> list[int]:
@@ -110,26 +108,26 @@ def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 # the solvers up as module globals at call time, so wrappers installed here see them.
 def _solve_greedy(graph: ColoredMultigraph, args: argparse.Namespace,
                   seed: int) -> SolveReport:
-    matching = greedy_maximal(graph, "rare_color_first")
+    matching = greedy_maximal(graph)
     return SolveReport.single_phase("greedy", matching, graph.n_colors, seed)
 
 
 def _solve_augment(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
-    matching = greedy_maximal(graph, "rare_color_first")
-    matching, _ = augment_flagged(graph, matching, args.depth, derive_seed(seed, "augment"))
+    matching = greedy_maximal(graph)
+    matching, _ = augment_flagged(graph, matching, derive_seed(seed, "augment"))
     return SolveReport.single_phase("greedy+augment", matching, graph.n_colors, seed)
 
 
 def _solve_sampling(graph: ColoredMultigraph, args: argparse.Namespace,
                     seed: int) -> SolveReport:
     p = default_p(graph.n_colors) if args.p == "auto" else float(args.p)
-    return sampling_solve(graph, p, seed, args.resamples, args.depth)
+    return sampling_solve(graph, p, seed)
 
 
 def _solve_alspach(graph: ColoredMultigraph, args: argparse.Namespace,
                    seed: int) -> SolveReport:
-    return alspach_solve(graph, seed=seed, max_resamples=args.resamples)
+    return alspach_solve(graph, seed)
 
 
 def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
@@ -148,9 +146,6 @@ _SOLVER_KINDS = {"alspach": (ColorClassKind.TWO_FACTOR, ColorClassKind.ARBITRARY
 
 
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
-    # refused for every solver, before the input is read
-    check_depth(args.depth)
-    check_resamples(args.resamples)
     seed = _resolve_seed(args)
     graph, kind, digest = load_instance(args.instance)
     accepted = _SOLVER_KINDS.get(args.solver)
@@ -217,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run a solver on an instance file")
     s.add_argument("--solver", required=True, choices=list(SOLVERS))
     s.add_argument("--p", default="auto", help="sampling probability or 'auto'")
-    s.add_argument("--depth", type=int, default=MAX_DEPTH,
-                   help="longest augmenting path in edges, odd and at least 3 "
-                   f"(default: {MAX_DEPTH})")
-    s.add_argument("--resamples", type=int, default=5)
     s.add_argument("--node-budget", type=_positive_int, default=None,
                    metavar="N", help="search nodes before the exact solver "
                    "stops uncertified (default: no limit)")

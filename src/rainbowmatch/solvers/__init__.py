@@ -1,6 +1,6 @@
 from .greedy import greedy_maximal
-from .augment import augment_flagged, check_depth
-from .sampling import SolveReport, check_resamples, default_p, sampling_solve
+from .augment import augment_flagged
+from .sampling import SolveReport, default_p, sampling_solve
 from .hypergraph import AuxHypergraph, build_aux_hypergraph, nibble_match
 from .two_factor import alspach_solve
 from .expander import expander_matching, edge_disjoint_matchings
@@ -9,8 +9,8 @@ from .exact import exact_max_rainbow
 
 __all__ = [
     "greedy_maximal",
-    "augment_flagged", "check_depth",
-    "SolveReport", "check_resamples", "default_p", "sampling_solve",
+    "augment_flagged",
+    "SolveReport", "default_p", "sampling_solve",
     "AuxHypergraph", "build_aux_hypergraph", "nibble_match",
     "alspach_solve",
     "expander_matching", "edge_disjoint_matchings",

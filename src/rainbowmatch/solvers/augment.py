@@ -33,12 +33,6 @@ MAX_DEPTH = 9
 NODE_BUDGET = 50_000
 
 
-def check_depth(max_depth: int) -> None:
-    """Refuse an alternating-path bound that is not odd and at least 3."""
-    if max_depth < 3 or max_depth % 2 == 0:
-        raise ValueError(f"max_depth must be odd and at least 3, got {max_depth}")
-
-
 @dataclass
 class _Gain:
     """One non-matching step of a candidate path."""
@@ -102,9 +96,8 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
 
 class _Augmenter:
     def __init__(self, graph: ColoredMultigraph, matching: RainbowMatching,
-                 max_depth: int, seed: int):
+                 seed: int):
         self.graph = graph
-        self.max_depth = max_depth
         self.rng = random.Random(seed)
         # each dfs entry spends a node first, then stops once none is left
         self.nodes_left = NODE_BUDGET
@@ -262,7 +255,7 @@ class _Augmenter:
         free_vertices = [v for v in range(self.graph.n_vertices)
                          if v not in self.match_at]
         self.rng.shuffle(free_vertices)
-        for depth in range(3, self.max_depth + 1, 2):
+        for depth in range(3, MAX_DEPTH + 1, 2):
             for v0 in free_vertices:
                 found = self._search_from(v0, depth, c0)
                 if found is not None:
@@ -282,13 +275,11 @@ class _Augmenter:
 
 
 def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
-                    max_depth: int = MAX_DEPTH, seed: int = 0
-                    ) -> tuple[RainbowMatching, bool]:
-    """Grow a rainbow matching by bounded-depth alternating paths; returns
-    it and whether NODE_BUDGET ran out.
+                    seed: int = 0) -> tuple[RainbowMatching, bool]:
+    """Grow a rainbow matching by alternating paths of at most MAX_DEPTH
+    edges; returns it and whether NODE_BUDGET ran out.
 
     Monotone: the result is never smaller than the input.  Budget exhaustion
     returns the current matching.
     """
-    check_depth(max_depth)
-    return _Augmenter(graph, matching, max_depth, seed).run()
+    return _Augmenter(graph, matching, seed).run()

@@ -199,7 +199,7 @@ def exact_max_rainbow(graph: ColoredMultigraph,
     nodes (None means no limit).  The incumbent is seeded with greedy +
     augmentation, so the result never trails the heuristics.
     """
-    seed_matching, _ = augment_flagged(graph, greedy_maximal(graph, "rare_color_first"))
+    seed_matching, _ = augment_flagged(graph, greedy_maximal(graph))
     best_pairs = list(seed_matching.pairs)
     best_size = len(best_pairs)
 

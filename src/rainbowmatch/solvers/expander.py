@@ -139,21 +139,17 @@ class _Expander:
                 self._add(x, new, eid)
 
 
-def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None) -> list[int]:
+def expander_matching(graph: ColoredMultigraph) -> list[int]:
     """Matching of size >= n_colors in a qualifying clique-union instance.
 
-    m defaults to the realized maximum pair multiplicity.  Raises
+    m is the realized maximum pair multiplicity, at least 1.  Raises
     HypothesisViolated when a color class spans fewer than 2n+2m vertices (or
     is not a clique union), AugmentationStalled past the n^2*m iteration cap.
     """
     report = validate(graph, ColorClassKind.CLIQUE_UNION)
     if not report.valid:
         raise HypothesisViolated(f"not a clique union: {report.witnesses[:5]}")
-    realized = max(1, graph.max_multiplicity())
-    if m is None:
-        m = realized
-    elif realized > m:
-        raise HypothesisViolated(f"multiplicity {realized} exceeds cap {m}")
+    m = max(1, graph.max_multiplicity())
     n = graph.n_colors
     short = [c for c, deco in report.decompositions.items()
              if deco.spanned_vertices < 2 * n + 2 * m]
@@ -169,7 +165,7 @@ def expander_matching(graph: ColoredMultigraph, m: Optional[int] = None) -> list
         iterations += 1
         if iterations > cap:
             raise AugmentationStalled(f"iteration cap {cap} reached at size {exp.size}")
-        level, hit = exp._build_levels(realized)
+        level, hit = exp._build_levels(m)
         if hit is None:
             raise AugmentationStalled(
                 f"no augmentation found at size {exp.size} (expected by hypothesis)")

@@ -60,22 +60,21 @@ def _scarcest_first(graph: ColoredMultigraph, colors: Iterable[int],
     return pairs, None
 
 
-def greedy_maximal(graph: ColoredMultigraph, order: str = "input",
+def greedy_maximal(graph: ColoredMultigraph, order: str = "rare_color_first",
                    seed: int = 0) -> RainbowMatching:
     """Maximal rainbow matching: no leftover edge has free endpoints and a free color.
 
-    order: "input" scans edges by id, "random" by a shuffle seeded with seed
-    (the only order that reads it), "rare_color_first" places colors by
-    ascending remaining-edge count.
+    order: "rare_color_first" places colors by ascending remaining-edge
+    count; "random" scans edges in a shuffle seeded with seed, the only
+    order that reads it.
     """
     if order == "rare_color_first":
         pairs, _ = _scarcest_first(graph, range(graph.n_colors), strict=False)
         return RainbowMatching(pairs=pairs)
-    if order not in ("input", "random"):
+    if order != "random":
         raise ValueError(f"unknown order {order!r}")
     ids = list(range(graph.n_edges))
-    if order == "random":
-        random.Random(seed).shuffle(ids)
+    random.Random(seed).shuffle(ids)
     pairs = []
     _greedy_pass(graph, ids, set(), set(), pairs)
     return RainbowMatching(pairs=pairs)

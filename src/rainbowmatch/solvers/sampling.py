@@ -11,27 +11,23 @@ Grinblat); two_factor.alspach_solve plugs in the auxiliary-hypergraph nibble.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from ..graph import (ColoredMultigraph, RainbowMatching, SampleSplit,
                      draw_sample_split, restrict_with_map)
 from ..seeding import derive_seed
-from .augment import MAX_DEPTH, augment_flagged
+from .augment import augment_flagged
 from .greedy import greedy_maximal, try_complete
 
 PhaseLog = list[tuple[str, int, int]]
+
+# attempts per solve, each with a fresh sample
+MAX_RESAMPLES = 5
 
 
 def default_p(n_colors: int) -> float:
     """Split probability min(1/2, 2 n^(-1/4)) for n colors; 1/2 without colors."""
     return min(0.5, 2.0 * n_colors ** -0.25) if n_colors > 0 else 0.5
-
-
-def check_resamples(max_resamples: int) -> None:
-    """Refuse a resampling bound below one attempt."""
-    if max_resamples < 1:
-        raise ValueError(f"max_resamples must be at least 1, got {max_resamples}")
 
 
 @dataclass
@@ -40,7 +36,6 @@ class SolveReport:
     n_colors: int
     phase_log: PhaseLog = field(default_factory=list)
     seeds_used: list[int] = field(default_factory=list)
-    budget_exhausted: bool = False
     optimal: Optional[bool] = None
     seed: int = 0  # the caller's seed, from which every seed in seeds_used derives
 
@@ -80,31 +75,25 @@ def _lift(pairs: list[tuple[int, int]], edge_map: list[int]) -> list[tuple[int, 
 def sample_and_complete(
         graph: ColoredMultigraph, p: float,
         weak: Callable[[ColoredMultigraph, SampleSplit, int, PhaseLog],
-                       tuple[list[tuple[int, int]], bool]],
-        seed: int, max_resamples: int,
-        max_depth: int = MAX_DEPTH) -> SolveReport:
+                       list[tuple[int, int]]],
+        seed: int) -> SolveReport:
     """Run split / weak solve / complete / repair with bounded resampling.
 
-    weak(graph, split, seed, log) solves outside split.sample and returns
-    (pairs in graph edge ids, whether a node budget ran out).  Attempt i uses
-    derive_seed(seed, "attempt", i); its repair augments paths of at most
-    max_depth edges.  Resamples until the matching is full or
-    max_resamples attempts are spent; the first matching with the most colors
-    is reported.
+    weak(graph, split, seed, log) solves outside split.sample and returns its
+    pairs in graph edge ids.  Attempt i uses derive_seed(seed, "attempt", i).
+    Resamples until the matching is full or MAX_RESAMPLES attempts are spent;
+    the first matching with the most colors is reported.
     """
     if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
-    check_resamples(max_resamples)
     log: PhaseLog = []
     seeds: list[int] = []
     best = RainbowMatching()
-    exhausted = False
-    for attempt in range(max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         sub_seed = derive_seed(seed, "attempt", attempt)
         seeds.append(sub_seed)
         split = draw_sample_split(graph, p, derive_seed(sub_seed, "split"))
-        pairs, ex = weak(graph, split, sub_seed, log)
-        exhausted = exhausted or ex
+        pairs = weak(graph, split, sub_seed, log)
 
         missing = set(range(graph.n_colors)) - {c for _, c in pairs}
         sample_graph, sample_map = restrict_with_map(graph, split.sample)
@@ -114,9 +103,8 @@ def sample_and_complete(
 
         if stuck is not None:
             before = len(combined)
-            combined, ex = augment_flagged(graph, combined, max_depth,
-                                           derive_seed(sub_seed, "repair"))
-            exhausted = exhausted or ex
+            combined, _ = augment_flagged(graph, combined,
+                                          derive_seed(sub_seed, "repair"))
             log.append(("repair_augment", before, len(combined)))
 
         if len(combined.colors()) > len(best.colors()):
@@ -124,26 +112,21 @@ def sample_and_complete(
         if len(best.colors()) == graph.n_colors:
             break
     return SolveReport(matching=best, n_colors=graph.n_colors, phase_log=log,
-                       seeds_used=seeds, budget_exhausted=exhausted, seed=seed)
+                       seeds_used=seeds, seed=seed)
 
 
-def _greedy_augment(max_depth: int, graph: ColoredMultigraph,
-                    split: SampleSplit, seed: int,
-                    log: PhaseLog) -> tuple[list[tuple[int, int]], bool]:
+def _greedy_augment(graph: ColoredMultigraph, split: SampleSplit, seed: int,
+                    log: PhaseLog) -> list[tuple[int, int]]:
     """Weak solver: scarcest-color greedy, then augment, on the rest."""
     rest_graph, rest_map = restrict_with_map(graph, split.rest)
-    matching = greedy_maximal(rest_graph, "rare_color_first")
+    matching = greedy_maximal(rest_graph)
     log.append(("weak_greedy", 0, len(matching)))
     before = len(matching)
-    matching, exhausted = augment_flagged(rest_graph, matching, max_depth,
-                                          derive_seed(seed, "augment"))
+    matching, _ = augment_flagged(rest_graph, matching, derive_seed(seed, "augment"))
     log.append(("weak_augment", before, len(matching)))
-    return _lift(matching.pairs, rest_map), exhausted
+    return _lift(matching.pairs, rest_map)
 
 
-def sampling_solve(graph: ColoredMultigraph, p: float, seed: int = 0,
-                   max_resamples: int = 5, max_depth: int = MAX_DEPTH) -> SolveReport:
-    """Sampling trick with greedy + augment as the weak solver; max_depth
-    bounds both the weak and the repair augment."""
-    return sample_and_complete(graph, p, partial(_greedy_augment, max_depth),
-                               seed, max_resamples, max_depth)
+def sampling_solve(graph: ColoredMultigraph, p: float, seed: int = 0) -> SolveReport:
+    """Sampling trick with greedy + augment as the weak solver."""
+    return sample_and_complete(graph, p, _greedy_augment, seed)

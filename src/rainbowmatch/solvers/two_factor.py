@@ -24,16 +24,15 @@ from .greedy import try_complete  # noqa: F401
 
 
 def _nibble(graph: ColoredMultigraph, split: SampleSplit, seed: int,
-            log: PhaseLog) -> tuple[list[tuple[int, int]], bool]:
+            log: PhaseLog) -> list[tuple[int, int]]:
     """Weak solver: nibble matching of the auxiliary hypergraph on the rest."""
     aux = build_aux_hypergraph(graph, split.rest)
     eids = nibble_match(aux, seed=derive_seed(seed, "nibble"))
     log.append(("nibble", 0, len(eids)))
-    return [(eid, graph.edges[eid][2]) for eid in eids], False
+    return [(eid, graph.edges[eid][2]) for eid in eids]
 
 
-def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
-                  max_resamples: int = 5) -> SolveReport:
+def alspach_solve(graph: ColoredMultigraph, seed: int = 0) -> SolveReport:
     """Rainbow matching using every color of a 2-factorized instance."""
     report = validate(graph, ColorClassKind.TWO_FACTOR)
     if not report.valid:
@@ -48,8 +47,8 @@ def alspach_solve(graph: ColoredMultigraph, seed: int = 0,
                                "need at most 2")
 
     if graph.n_vertices >= 4 * d:
-        matching = greedy_maximal(graph, "rare_color_first")
+        matching = greedy_maximal(graph)
         return SolveReport.single_phase("greedy", matching, d, seed)
 
     return sample_and_complete(graph, 1.0 - 2.0 * d / graph.n_vertices, _nibble,
-                               seed, max_resamples)
+                               seed)

@@ -116,7 +116,7 @@ def _oracle(make: Callable[[int, int], ColoredMultigraph], offset: int = 1) -> C
 
 def _check_grinblat_weak(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
     graph = gen_grinblat(n, 3 * n, n, iseed)
-    size = len(greedy_maximal(graph, "rare_color_first"))
+    size = len(greedy_maximal(graph))
     floor_bound = n - math.isqrt(n)
     return size >= floor_bound, float(size - floor_bound)
 
@@ -124,7 +124,7 @@ def _check_grinblat_weak(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
 def _check_alspach(d: int, iseed: int, sseed: int) -> tuple[bool, float]:
     extra = max(0, math.ceil(d ** 0.8) - 1)  # n_vertices = 2d + ceil(d^0.8)
     graph = gen_two_factorized(d, "circulant", extra, iseed)
-    report = alspach_solve(graph, seed=sseed, max_resamples=5)
+    report = alspach_solve(graph, seed=sseed)
     return report.defect == 0, float(-report.defect)
 
 

@@ -14,7 +14,6 @@ from rainbowmatch.cli import SOLVERS, build_parser, main
 from rainbowmatch.generators import FAMILIES
 from rainbowmatch.graph import RainbowMatching
 from rainbowmatch.solvers import SolveReport
-from rainbowmatch.solvers.augment import MAX_DEPTH
 from rainbowmatch.verification import PIPELINES, THEOREMS
 
 
@@ -109,8 +108,10 @@ def test_solve_report_schema(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["greedy"], ["augment"], ["sampling"],
-                                  ["augment", "--depth", "3"]],
-                         ids=["greedy", "augment", "sampling", "augment-depth-3"])
+                                  ["sampling", "--p", "0.3"],
+                                  ["sampling", "--p", "auto"]],
+                         ids=["greedy", "augment", "sampling", "sampling-p-0.3",
+                              "sampling-p-auto"])
 def test_solvers_run_from_cli(argv, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
@@ -122,21 +123,35 @@ def test_solvers_run_from_cli(argv, tmp_path, capsys):
     assert doc["size"] >= 1
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--solver", "augment", "--depth", "2"], "max_depth must be odd and at least 3, got 2"),
-    (["--solver", "augment", "--depth", "4"], "max_depth must be odd and at least 3, got 4"),
-    (["--solver", "sampling", "--depth", "1"], "max_depth must be odd and at least 3, got 1"),
-    (["--solver", "sampling", "--resamples", "0"],
-     "max_resamples must be at least 1, got 0"),
-    (["--solver", "greedy", "--depth", "4"], "max_depth must be odd and at least 3, got 4"),
-    (["--solver", "exact", "--resamples", "0"], "max_resamples must be at least 1, got 0"),
-], ids=["augment-depth-2", "augment-depth-4", "sampling-depth-1", "sampling-resamples-0",
-        "greedy-depth-4", "exact-resamples-0"])
-def test_search_knobs_out_of_range_exit_2(tmp_path, capsys, argv, message):
+@pytest.mark.parametrize("argv", [
+    ["--solver", "augment", "--depth", "9"],
+    ["--solver", "sampling", "--resamples", "5"],
+], ids=["depth", "resamples"])
+def test_search_knobs_are_not_options(tmp_path, capsys, argv):
+    # the path length and the attempt count are the constants every caller runs
     inst, report = tmp_path / "inst.json", tmp_path / "report.json"
     run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
          "--seed", "3", "-o", str(inst)], capsys)
-    code, out, err = run(["solve", *argv, "-o", str(report), str(inst)], capsys)
+    code, out, err = run(["solve", "-o", str(report), str(inst), *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0", "p must lie strictly between 0 and 1"),
+    ("1", "p must lie strictly between 0 and 1"),
+    ("nan", "p must lie strictly between 0 and 1"),
+    ("-0.5", "p must lie strictly between 0 and 1"),
+    ("abc", "could not convert string to float: 'abc'"),
+], ids=["zero", "one", "nan", "negative", "not-a-number"])
+def test_sampling_refuses_p_outside_the_open_unit_interval(tmp_path, capsys, p,
+                                                            message):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
+         "--seed", "3", "-o", str(inst)], capsys)
+    code, out, err = run(["solve", "--solver", "sampling", "--p", p,
+                          "-o", str(report), str(inst)], capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
     assert not report.exists()
@@ -188,34 +203,6 @@ def test_alspach_solver_from_cli(tmp_path, capsys):
     code, out, _ = run(["solve", "--solver", "alspach", str(inst)], capsys)
     assert code == 0
     assert json.loads(out)["defect"] == 0
-
-
-def test_alspach_refuses_resamples_below_one(tmp_path, capsys):
-    # 11 vertices < 4d, so alspach runs the resampling pipeline
-    inst, report = tmp_path / "circ.json", tmp_path / "report.json"
-    run(["generate", "--family", "circulant_two_factor", "--d", "5",
-         "--seed", "3", "-o", str(inst)], capsys)
-    code, out, err = run(["solve", "--solver", "alspach", "--resamples", "-1",
-                          "-o", str(report), str(inst)], capsys)
-    assert code == 2 and out == ""
-    assert err == "error: max_resamples must be at least 1, got -1\n"
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["--resamples", "0"], "max_resamples must be at least 1, got 0"),
-    (["--depth", "2"], "max_depth must be odd and at least 3, got 2"),
-], ids=["resamples-0", "depth-2"])
-def test_alspach_refuses_knobs_on_the_greedy_path(tmp_path, capsys, argv, message):
-    # 31 vertices >= 4d: alspach takes the greedy shortcut, which reads neither knob
-    inst, report = tmp_path / "circ.json", tmp_path / "report.json"
-    run(["generate", "--family", "circulant_two_factor", "--d", "5",
-         "--extra", "20", "--seed", "3", "-o", str(inst)], capsys)
-    code, out, err = run(["solve", "--solver", "alspach", *argv,
-                          "-o", str(report), str(inst)], capsys)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
-    assert not report.exists()
 
 
 def test_solve_refuses_a_kind_the_solver_cannot_take(tmp_path, capsys):
@@ -404,15 +391,14 @@ def test_generate_never_crashes(tmp_path_factory, family, n, v, m, d, extra):
         assert json.loads(path.read_text())["kind"] == FAMILIES[family][0].value
 
 
-def _choices(command, option):
+def _subparser(command):
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    parser = sub.choices[command]
-    return next(a.choices for a in parser._actions if option in a.option_strings)
+    return sub.choices[command]
 
 
-def test_solve_depth_defaults_to_augment_max_depth():
-    args = build_parser().parse_args(["solve", "--solver", "augment", "inst.json"])
-    assert args.depth == MAX_DEPTH
+def _choices(command, option):
+    return next(a.choices for a in _subparser(command)._actions
+                if option in a.option_strings)
 
 
 def _cyclic_garbage(argv):
@@ -480,10 +466,25 @@ def test_verify_negative_n_exits_2(capsys, theorem):
     assert err == "error: n must be at least 1, got -1\n"
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_readme_lists_exactly_the_solvers():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    ids = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    ids = re.findall(r"^\| `(\w+)` \|", _readme(), flags=re.MULTILINE)
     assert sorted(ids) == sorted(SOLVERS)
+
+
+def test_readme_names_only_flags_its_command_has():
+    # "### <command>" runs to the next heading; each --flag in it is checked
+    sections = re.findall(r"^### (\w+)\n(.*?)(?=^#|\Z)", _readme(),
+                          flags=re.MULTILINE | re.DOTALL)
+    assert [command for command, _ in sections] == ["generate", "solve",
+                                                    "verify", "sweep"]
+    for command, text in sections:
+        options = {s for a in _subparser(command)._actions for s in a.option_strings}
+        flags = set(re.findall(r"--[a-z][a-z-]*", text))
+        assert flags <= options, (command, sorted(flags - options))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -21,7 +21,7 @@ def assert_matching(graph, edge_ids):
 def test_single_color_single_edge():
     # one color spanning 4 vertices (two disjoint edges) with m = 1
     g = ColoredMultigraph(4, 1, [(0, 1, 0), (2, 3, 0)])
-    ids = expander_matching(g, m=1)
+    ids = expander_matching(g)
     assert len(ids) >= 1
     assert_matching(g, ids)
 
@@ -41,13 +41,6 @@ def test_hypothesis_violation_rejected():
     g = gen_triangle_lb(10)
     with pytest.raises(HypothesisViolated):
         expander_matching(g)
-
-
-def test_multiplicity_cap_parameter_enforced():
-    g = gen_grinblat(10, 24, 2, 0)
-    if g.max_multiplicity() > 1:
-        with pytest.raises(HypothesisViolated):
-            expander_matching(g, m=1)
 
 
 def test_count_target_one_equals_single_run():

@@ -19,7 +19,7 @@ def assert_maximal(graph, matching):
         assert c in used_c or u in used_v or v in used_v
 
 
-@pytest.mark.parametrize("order", ["input", "random", "rare_color_first"])
+@pytest.mark.parametrize("order", ["random", "rare_color_first"])
 def test_greedy_outputs_are_valid_and_maximal(order):
     g = gen_grinblat(12, 36, 2, 5)
     m = greedy_maximal(g, order, seed=3)

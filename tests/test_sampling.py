@@ -56,7 +56,7 @@ def test_resampling_stops_at_full():
     # the first attempt of this seeded solve already places every color
     n = 16
     g = gen_ab(n, math.ceil(7 * n ** 0.75), True, 2)
-    report = sampling_solve(g, 0.5, seed=1, max_resamples=5)
+    report = sampling_solve(g, 0.5, seed=1)
     assert report.defect == 0
     assert len(report.seeds_used) == 1
     assert [name for name, _, _ in report.phase_log].count("complete") == 1

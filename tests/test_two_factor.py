@@ -48,7 +48,7 @@ def test_tight_regime_sampling_path():
     d = 20
     extra = math.ceil(d ** 0.8) - 1
     g = gen_two_factorized(d, "circulant", extra, 12)
-    report = alspach_solve(g, seed=12, max_resamples=5)
+    report = alspach_solve(g, seed=12)
     assert report.defect == 0
     ok, why = is_rainbow_matching(g, report.matching)
     assert ok, why
@@ -58,7 +58,7 @@ def test_symmetric_latin_gives_near_transversal():
     # d = 7 on 16 vertices: 16 < 28 forces the sampling path; a full rainbow
     # matching here is a partial transversal of size 7
     g = gen_two_factorized(7, "symmetric_latin", 0, 0)
-    report = alspach_solve(g, seed=2, max_resamples=5)
+    report = alspach_solve(g, seed=2)
     assert report.defect == 0
     assert len(report.matching) == 7
 
