@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import InvalidInstance, RainbowError, RefusedReport
@@ -92,20 +92,32 @@ def emit(doc: dict, fmt: str, path: Optional[str]) -> None:
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("RAINBOW_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    return int(os.environ.get("RAINBOW_SEED", 0))
+
+
+# each command's id-specific options, name -> default; the chosen id's record
+# names those it reads, and a value other than the default for any other is refused
+_ID_OPTIONS = {"generate": dict.fromkeys(("n", "v", "m", "d", "extra"), 0),
+               "solve": {"p": "auto", "node_budget": None}}
+
+
+def _refuse_unread(args: argparse.Namespace, id_kind: str, ident: str,
+                   reads: tuple[str, ...]) -> None:
+    for name, default in _ID_OPTIONS[args.command].items():
+        if name not in reads and getattr(args, name) != default:
+            raise ValueError(f"{id_kind} {ident!r} does not read "
+                             f"--{name.replace('_', '-')}")
 
 
 def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
-    kind, make = FAMILIES[args.family]
+    kind, make, reads = FAMILIES[args.family]
+    _refuse_unread(args, "family", args.family, reads)
     save_instance(make(args, _resolve_seed(args)), args.out, kind)
     return 0
 
 
-# solve's table: id -> entry(graph, args, seed) -> SolveReport.  Entries look
-# the solvers up as module globals at call time, so wrappers installed here see them.
+# solve's entries: (graph, args, seed) -> SolveReport.  They look the solvers up
+# as module globals at call time, so wrappers installed here see them.
 def _solve_greedy(graph: ColoredMultigraph, args: argparse.Namespace,
                   seed: int) -> SolveReport:
     matching = greedy_maximal(graph)
@@ -137,24 +149,30 @@ def _solve_exact(graph: ColoredMultigraph, args: argparse.Namespace,
                                     optimal=certified)
 
 
-SOLVERS = {"greedy": _solve_greedy, "augment": _solve_augment,
-           "sampling": _solve_sampling, "alspach": _solve_alspach,
-           "exact": _solve_exact}
+class Solver(NamedTuple):
+    entry: Callable[[ColoredMultigraph, argparse.Namespace, int], SolveReport]
+    reads: tuple[str, ...] = ()  # the solve options the entry reads
+    kinds: Optional[tuple[ColorClassKind, ...]] = None  # None: every kind
 
-# the declared kinds a solver takes, where it cannot take every kind
-_SOLVER_KINDS = {"alspach": (ColorClassKind.TWO_FACTOR, ColorClassKind.ARBITRARY)}
+
+SOLVERS = {"greedy": Solver(_solve_greedy), "augment": Solver(_solve_augment),
+           "sampling": Solver(_solve_sampling, ("p",)),
+           "alspach": Solver(_solve_alspach, kinds=(ColorClassKind.TWO_FACTOR,
+                                                    ColorClassKind.ARBITRARY)),
+           "exact": Solver(_solve_exact, ("node_budget",))}
 
 
 def _cmd_solve(args: argparse.Namespace, argv: list[str]) -> int:
+    solver = SOLVERS[args.solver]
+    _refuse_unread(args, "solver", args.solver, solver.reads)
     seed = _resolve_seed(args)
     graph, kind, digest = load_instance(args.instance)
-    accepted = _SOLVER_KINDS.get(args.solver)
-    if accepted is not None and kind not in accepted:
+    if solver.kinds is not None and kind not in solver.kinds:
         raise InvalidInstance(
             f"{args.instance}: solver {args.solver!r} takes kind "
-            f"{' or '.join(k.value for k in accepted)}, not {kind.value}")
+            f"{' or '.join(k.value for k in solver.kinds)}, not {kind.value}")
     start = time.perf_counter()
-    report = SOLVERS[args.solver](graph, args, seed)
+    report = solver.entry(graph, args, seed)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if "SOURCE_DATE_EPOCH" in os.environ:  # the report bytes must not depend on it
         elapsed_ms = 0
@@ -201,22 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a seeded instance file")
     g.add_argument("--family", required=True, choices=list(FAMILIES))
-    g.add_argument("--n", type=int, default=0)
-    g.add_argument("--v", type=int, default=0)
-    g.add_argument("--m", type=int, default=0)
-    g.add_argument("--d", type=int, default=0)
-    g.add_argument("--extra", type=int, default=0)
+    for name, default in _ID_OPTIONS["generate"].items():
+        g.add_argument(f"--{name}", type=int, default=default)
     g.add_argument("-o", "--out", required=True)
     common(g)
 
     s = sub.add_parser("solve", help="run a solver on an instance file")
     s.add_argument("--solver", required=True, choices=list(SOLVERS))
-    s.add_argument("--p", default="auto", help="sampling probability or 'auto'")
-    s.add_argument("--node-budget", type=_positive_int, default=None,
-                   metavar="N", help="search nodes before the exact solver "
-                   "stops uncertified (default: no limit)")
+    s.add_argument("--p", help="sampling probability or 'auto'")
+    s.add_argument("--node-budget", type=_positive_int, metavar="N",
+                   help="search nodes before the exact solver stops uncertified "
+                   "(default: no limit)")
     s.add_argument("-o", "--out", default=None)
     s.add_argument("instance")
+    s.set_defaults(**_ID_OPTIONS["solve"])
     common(s)
 
     v = sub.add_parser("verify", help="run a theorem checker")
@@ -248,10 +264,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args, unknown = _parser().parse_known_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 2
+    if unknown:  # an unknown option may have taken a positional's place; name it
+        stray = next((a for a in unknown if a.startswith("-")), unknown[0])
+        print(f"error: unrecognized argument: {stray}", file=sys.stderr)
+        return 2
     handlers = {"generate": _cmd_generate, "solve": _cmd_solve,
                 "verify": _cmd_verify, "sweep": _cmd_sweep}
     try:

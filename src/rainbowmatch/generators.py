@@ -321,22 +321,28 @@ def gen_two_factorized(d: int, mode: str, extra_vertices: int = 0,
 _MATCHING, _CLIQUES, _TWO_FACTORS = (ColorClassKind.MATCHING, ColorClassKind.CLIQUE_UNION,
                                      ColorClassKind.TWO_FACTOR)
 
-# family id -> (instance-file kind, generator).  A generator takes the
-# `generate` command's options (anything with n, v, m, d and extra) and the
-# seed.  The lambdas look gen_* up at call time, so a wrapper installed on
-# this module sees every call.
-FAMILIES: dict[str, tuple[ColorClassKind, Callable[[Any, int], ColoredMultigraph]]] = {
-    "latin_cayley": (_MATCHING, lambda o, seed: gen_latin(o.n, "cayley", seed)),
-    "latin_random": (_MATCHING, lambda o, seed: gen_latin(o.n, "random", seed)),
-    "ab_bipartite": (_MATCHING, lambda o, seed: gen_ab(o.n, o.extra, True, seed)),
-    "ab_general": (_MATCHING, lambda o, seed: gen_ab(o.n, o.extra, False, seed)),
-    "grinblat": (_CLIQUES, lambda o, seed: gen_grinblat(o.n, o.v, o.m, seed)),
-    "triangle_lb": (_CLIQUES, lambda o, seed: gen_triangle_lb(o.n)),
-    "two_k4": (_MATCHING, lambda o, seed: gen_two_k4()),
-    "multiplicity_lb": (_CLIQUES, lambda o, seed: gen_multiplicity_lb(o.n, o.d, seed)),
+# family id -> (instance-file kind, generator, the `generate` options it reads).
+# A generator takes the command's options and the seed.  The lambdas look gen_*
+# up at call time, so a wrapper installed on this module sees every call.
+FAMILIES: dict[str, tuple[ColorClassKind, Callable[[Any, int], ColoredMultigraph],
+                          tuple[str, ...]]] = {
+    "latin_cayley": (_MATCHING, lambda o, seed: gen_latin(o.n, "cayley", seed), ("n",)),
+    "latin_random": (_MATCHING, lambda o, seed: gen_latin(o.n, "random", seed), ("n",)),
+    "ab_bipartite": (_MATCHING, lambda o, seed: gen_ab(o.n, o.extra, True, seed),
+                     ("n", "extra")),
+    "ab_general": (_MATCHING, lambda o, seed: gen_ab(o.n, o.extra, False, seed),
+                   ("n", "extra")),
+    "grinblat": (_CLIQUES, lambda o, seed: gen_grinblat(o.n, o.v, o.m, seed),
+                 ("n", "v", "m")),
+    "triangle_lb": (_CLIQUES, lambda o, seed: gen_triangle_lb(o.n), ("n",)),
+    "two_k4": (_MATCHING, lambda o, seed: gen_two_k4(), ()),
+    "multiplicity_lb": (_CLIQUES, lambda o, seed: gen_multiplicity_lb(o.n, o.d, seed),
+                        ("n", "d")),
     "circulant_two_factor": (
-        _TWO_FACTORS, lambda o, seed: gen_two_factorized(o.d, "circulant", o.extra, seed)),
+        _TWO_FACTORS, lambda o, seed: gen_two_factorized(o.d, "circulant", o.extra, seed),
+        ("d", "extra")),
     "symmetric_latin_two_factor": (
         _TWO_FACTORS,
-        lambda o, seed: gen_two_factorized(o.d, "symmetric_latin", o.extra, seed)),
+        lambda o, seed: gen_two_factorized(o.d, "symmetric_latin", o.extra, seed),
+        ("d", "extra")),
 }

@@ -139,6 +139,7 @@ class Theorem(NamedTuple):
     trials: int          # default trials per n
     assertion: str
     checker: Checker
+    seeded: bool = True  # False: the checker reads neither cell seed
 
 
 THEOREMS: dict[str, Theorem] = {
@@ -163,13 +164,13 @@ THEOREMS: dict[str, Theorem] = {
         _check_alspach),
     "triangle_lb": Theorem(
         [4, 5, 6, 7, 8, 9, 10], 1, "certified oracle optimum = n - 1",
-        _oracle(lambda n, iseed: gen_triangle_lb(n))),
+        _oracle(lambda n, iseed: gen_triangle_lb(n)), seeded=False),
     "multiplicity_lb": Theorem(
         [21], 1, "certified oracle optimum = n - 1 (d = 2 blocks)",
         _oracle(lambda n, iseed: gen_multiplicity_lb(n, 2, iseed))),
     # margin n - optimum: the colours no rainbow matching covers
     "two_k4_lb": Theorem([3], 1, "certified oracle optimum = 2 < 3",
-                         _oracle(_two_k4, offset=0)),
+                         _oracle(_two_k4, offset=0), seeded=False),
 }
 
 
@@ -200,6 +201,8 @@ def check(theorem_id: str, n_values: Optional[list[int]] = None,
     ns = list(theorem.sizes if n_values is None else n_values)
     t = theorem.trials if trials is None else trials
     _check_domain(ns, t)
+    if t > 1 and not theorem.seeded:  # every trial would replay one cell
+        raise ValueError(f"{theorem_id} reads no seed: trials must be 1, got {t}")
     result = TheoremCheck(theorem_id)
     for n in ns:
         for trial in range(t):

@@ -1,5 +1,24 @@
 import sys
 
+import pytest
+
+
+class _Recorder:
+    """An options namespace that records which of its attributes are read."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+@pytest.fixture
+def record_reads():
+    """Wraps an argparse namespace; `.read` is the set of options read from it."""
+    return _Recorder
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance verdict lines where capture can't swallow them."""

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch.cli import SOLVERS, build_parser, main
-from rainbowmatch.generators import FAMILIES
-from rainbowmatch.graph import RainbowMatching
+from rainbowmatch.cli import _ID_OPTIONS, SOLVERS, Solver, build_parser, main
+from rainbowmatch.generators import FAMILIES, gen_latin, gen_two_factorized
+from rainbowmatch.graph import ColorClassKind, RainbowMatching
 from rainbowmatch.solvers import SolveReport
 from rainbowmatch.verification import PIPELINES, THEOREMS
 
@@ -123,19 +123,82 @@ def test_solvers_run_from_cli(argv, tmp_path, capsys):
     assert doc["size"] >= 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["--solver", "augment", "--depth", "9"],
-    ["--solver", "sampling", "--resamples", "5"],
-], ids=["depth", "resamples"])
-def test_search_knobs_are_not_options(tmp_path, capsys, argv):
-    # the path length and the attempt count are the constants every caller runs
+@pytest.mark.parametrize("argv, before_instance", [
+    (["--solver", "augment", "--depth", "9"], False),
+    (["--solver", "sampling", "--resamples", "5"], False),
+    (["--solver", "augment", "--depth", "9"], True),
+], ids=["depth", "resamples", "depth-before-instance"])
+def test_search_knobs_are_not_options(tmp_path, capsys, argv, before_instance):
+    # the path length and the attempt count are the constants every caller runs;
+    # the unknown option is named even where its value took the instance's place
     inst, report = tmp_path / "inst.json", tmp_path / "report.json"
     run(["generate", "--family", "ab_bipartite", "--n", "12", "--extra", "8",
          "--seed", "3", "-o", str(inst)], capsys)
-    code, out, err = run(["solve", "-o", str(report), str(inst), *argv], capsys)
+    rest = [*argv, str(inst)] if before_instance else [str(inst), *argv]
+    code, out, err = run(["solve", "-o", str(report), *rest], capsys)
     assert code == 2 and out == ""
-    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
+    assert err == f"error: unrecognized argument: {argv[2]}\n"
     assert not report.exists()
+
+
+# a value other than each id-specific option's default
+_SET = {"n": "3", "v": "3", "m": "3", "d": "3", "extra": "3", "p": "0.3",
+        "node_budget": "5"}
+
+
+_SOLVE_UNREAD = [(solver, name) for solver, record in SOLVERS.items()
+                 for name in _ID_OPTIONS["solve"] if name not in record.reads]
+_GENERATE_UNREAD = [(family, name) for family, (_, _, reads) in FAMILIES.items()
+                    for name in _ID_OPTIONS["generate"] if name not in reads]
+
+
+@pytest.mark.parametrize("solver, option", _SOLVE_UNREAD)
+def test_solver_refuses_an_option_it_does_not_read(tmp_path, capsys, solver, option):
+    inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+    family = ("circulant_two_factor", "--d", "5") if solver == "alspach" else (
+        "latin_cayley", "--n", "5")
+    run(["generate", "--family", *family, "-o", str(inst)], capsys)
+    flag = "--" + option.replace("_", "-")
+    code, out, err = run(["solve", "--solver", solver, flag, _SET[option],
+                          "-o", str(report), str(inst)], capsys)
+    assert code == 2 and out == "" and not report.exists()
+    assert err == f"error: solver {solver!r} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("family, option", _GENERATE_UNREAD)
+def test_family_refuses_an_option_it_does_not_read(tmp_path, capsys, family, option):
+    inst = tmp_path / "inst.json"
+    code, out, err = run(["generate", "--family", family, f"--{option}", _SET[option],
+                          "-o", str(inst)], capsys)
+    assert code == 2 and out == "" and not inst.exists()
+    assert err == f"error: family {family!r} does not read --{option}\n"
+
+
+def test_options_left_at_their_defaults_are_not_refused(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    code, _, _ = run(["generate", "--family", "latin_cayley", "--n", "5",
+                      "--extra", "0", "-o", str(inst)], capsys)
+    assert code == 0
+    code, out, _ = run(["solve", "--solver", "greedy", "--p", "auto", str(inst)],
+                       capsys)
+    assert code == 0 and json.loads(out)["size"] == 5
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_solver_record_names_the_options_its_entry_reads(solver, record_reads):
+    record = SOLVERS[solver]
+    kind, graph = ((ColorClassKind.TWO_FACTOR, gen_two_factorized(4, "circulant", 2, 1))
+                   if solver == "alspach"
+                   else (ColorClassKind.MATCHING, gen_latin(4, "cayley", 0)))
+    assert record.kinds is None or kind in record.kinds
+    options = record_reads(build_parser().parse_args(["solve", "--solver", solver, "x"]))
+    record.entry(graph, options, 0)
+    assert options.read == set(record.reads)
+
+
+def test_every_id_option_is_read_by_some_id():
+    assert {o for s in SOLVERS.values() for o in s.reads} == set(_ID_OPTIONS["solve"])
+    assert {o for f in FAMILIES.values() for o in f[2]} == set(_ID_OPTIONS["generate"])
 
 
 @pytest.mark.parametrize("p, message", [
@@ -172,7 +235,7 @@ def test_non_rainbow_report_is_refused(tmp_path, capsys, monkeypatch):
         return SolveReport(matching=RainbowMatching(pairs=[(0, 0), (1, 0)]),
                            n_colors=graph.n_colors, seed=seed)
 
-    monkeypatch.setitem(SOLVERS, "greedy", two_edges_of_color_0)
+    monkeypatch.setitem(SOLVERS, "greedy", Solver(two_edges_of_color_0))
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"n_vertices": 4, "n_colors": 1,
                                 "edges": [[0, 1, 0], [2, 3, 0]]}))
@@ -382,10 +445,12 @@ _GEN_OPTION = st.integers(-2, 5)
 @given(family=st.sampled_from(list(FAMILIES)), n=_GEN_OPTION, v=_GEN_OPTION,
        m=_GEN_OPTION, d=_GEN_OPTION, extra=_GEN_OPTION)
 def test_generate_never_crashes(tmp_path_factory, family, n, v, m, d, extra):
-    """Exit 0 with a loadable file, or exit 2; never a traceback."""
+    """Exit 0 with a loadable file, or exit 2; never a traceback.  Only the
+    options the family reads are passed, so each case reaches its generator."""
     path = tmp_path_factory.mktemp("gen") / "inst.json"
-    code, _ = _quiet_main(["generate", "--family", family, f"--n={n}", f"--v={v}",
-                           f"--m={m}", f"--d={d}", f"--extra={extra}", "-o", str(path)])
+    values = {"n": n, "v": v, "m": m, "d": d, "extra": extra}
+    options = [f"--{name}={values[name]}" for name in FAMILIES[family][2]]
+    code, _ = _quiet_main(["generate", "--family", family, *options, "-o", str(path)])
     assert code in (0, 2)
     if code == 0:
         assert json.loads(path.read_text())["kind"] == FAMILIES[family][0].value
@@ -492,7 +557,12 @@ def test_readme_names_only_flags_its_command_has():
     (["verify", "--theorem", "two_k4_lb", "--n", "3,4"], "two_k4_lb has only n = 3, got 4"),
     (["verify", "--theorem", "triangle_lb", "--n", "1,1", "--trials", "1"],
      "n values must be distinct, got [1, 1]"),
-], ids=["two-k4-n1", "two-k4-n4", "repeated-n"])
+    # these checkers read no seed, so every trial would replay the first
+    (["verify", "--theorem", "triangle_lb", "--n", "5", "--trials", "3"],
+     "triangle_lb reads no seed: trials must be 1, got 3"),
+    (["verify", "--theorem", "two_k4_lb", "--trials", "2"],
+     "two_k4_lb reads no seed: trials must be 1, got 2"),
+], ids=["two-k4-n1", "two-k4-n4", "repeated-n", "triangle-trials-3", "two-k4-trials-2"])
 def test_verify_refuses_cells_it_cannot_check(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""

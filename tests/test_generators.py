@@ -154,7 +154,7 @@ def test_degenerate_circulant_offsets_rejected():
 
 
 def test_family_table_dispatch_and_determinism():
-    kind, make = FAMILIES["ab_general"]
+    kind, make, _ = FAMILIES["ab_general"]
     options = SimpleNamespace(n=12, extra=2)
     a, b = make(options, 99), make(options, 99)
     assert kind is ColorClassKind.MATCHING

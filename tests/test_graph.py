@@ -156,10 +156,19 @@ def test_small_options_cover_every_family():
 
 
 @pytest.mark.parametrize("family", list(SMALL))
+def test_family_record_names_the_options_its_generator_reads(family, record_reads):
+    _, make, reads = FAMILIES[family]
+    options = record_reads(build_parser().parse_args(
+        ["generate", "--family", family, *SMALL[family], "-o", "unused"]))
+    make(options, 1)
+    assert options.read == set(reads)
+
+
+@pytest.mark.parametrize("family", list(SMALL))
 def test_writer_matches_json_dumps_on_every_family(tmp_path, family):
     args = build_parser().parse_args(["generate", "--family", family, *SMALL[family],
                                       "-o", "unused"])
-    kind, make = FAMILIES[family]
+    kind, make, _ = FAMILIES[family]
     graph = make(args, 1)
     path = tmp_path / "inst.json"
     save_instance(graph, str(path), kind)
