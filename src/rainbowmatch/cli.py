@@ -212,17 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help="global seed (default: $RAINBOW_SEED or 0)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-
     g = sub.add_parser("generate", help="write a seeded instance file")
     g.add_argument("--family", required=True, choices=list(FAMILIES))
     for name, default in _ID_OPTIONS["generate"].items():
         g.add_argument(f"--{name}", type=int, default=default)
     g.add_argument("-o", "--out", required=True)
-    common(g)
 
     s = sub.add_parser("solve", help="run a solver on an instance file")
     s.add_argument("--solver", required=True, choices=list(SOLVERS))
@@ -233,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--out", default=None)
     s.add_argument("instance")
     s.set_defaults(**_ID_OPTIONS["solve"])
-    common(s)
 
     v = sub.add_parser("verify", help="run a theorem checker")
     v.add_argument("--theorem", required=True, choices=list(THEOREMS))
@@ -241,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated values (default: desk-scale table)")
     v.add_argument("--trials", type=_positive_int, default=None)
     v.add_argument("-o", "--out", default=None)
-    common(v)
 
     w = sub.add_parser("sweep", help="success fraction across surplus values")
     w.add_argument("--family", required=True, choices=list(PIPELINES))
@@ -249,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--surplus", type=_parse_int_list, required=True)
     w.add_argument("--trials", type=_positive_int, default=20)
     w.add_argument("-o", "--out", default=None)
-    common(w)
+    for p in (g, s, v, w):
+        p.add_argument("--seed", type=int, default=None,
+                       help="global seed (default: $RAINBOW_SEED or 0)")
+    for p in (s, v, w):  # generate writes an instance file, never a report
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 

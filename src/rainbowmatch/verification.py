@@ -11,16 +11,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .generators import (gen_ab, gen_grinblat, gen_multiplicity_lb,
+from .errors import AugmentationStalled, HypothesisViolated
+from .generators import (gen_ab, gen_grinblat, gen_latin, gen_multiplicity_lb,
                          gen_triangle_lb, gen_two_factorized, gen_two_k4)
-from .graph import ColoredMultigraph
+from .graph import ColoredMultigraph, is_rainbow_matching
 from .seeding import derive_seed
-from .solvers import (alspach_solve, default_p, exact_max_rainbow,
-                      greedy_maximal, sampling_solve)
+from .solvers import (alspach_solve, default_p, edge_disjoint_matchings,
+                      exact_max_rainbow, expander_matching, greedy_maximal,
+                      orient_bipartition_reduce, sampling_solve)
 
 # nodes per certification cell, so "certified" depends on the instance alone;
-# >= 500x the most a default cell (18) or an acceptance criterion 4 cell (32,
-# the order-6 cyclic square) needs
+# >= 500x the most a default cell needs (32, the order-6 cyclic square)
 ORACLE_NODE_BUDGET = 100_000
 
 
@@ -62,11 +63,6 @@ class TheoremCheck:
 Checker = Callable[[int, int, int], tuple[bool, float]]  # (n, iseed, sseed)
 
 
-def _cell_seeds(seed: int, theorem_id: str, n: int, trial: int) -> tuple[int, int]:
-    return (derive_seed(seed, theorem_id, n, trial, "instance"),
-            derive_seed(seed, theorem_id, n, trial, "solver"))
-
-
 # sweep's family id -> (instance(n, surplus, seed, cap), split probability
 # p(n)): the strong pipeline that `sweep` and the strong checkers run.  cap
 # is grinblat's pair multiplicity cap; None means n, which never binds.
@@ -101,16 +97,17 @@ def _strong(family: str, surplus: Callable[[int], int],
     return checker
 
 
-def _oracle(make: Callable[[int, int], ColoredMultigraph], offset: int = 1) -> Checker:
+def _oracle(make: Callable[[int, int], ColoredMultigraph],
+            want: Callable[[int], int] = lambda n: n - 1, offset: int = 1) -> Checker:
     """Checker: within ORACLE_NODE_BUDGET nodes the oracle certifies that
-    make(n, iseed) has optimum n - 1; the margin is (n - offset) - optimum.
+    make(n, iseed) has optimum want(n); the margin is (n - offset) - optimum.
     An uncertified search gives (False, nan): inconclusive, never a pass."""
     def checker(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
         size, _, certified = exact_max_rainbow(make(n, iseed),
                                                node_budget=ORACLE_NODE_BUDGET)
         if not certified:
             return False, math.nan
-        return size == n - 1, float((n - offset) - size)
+        return size == want(n), float((n - offset) - size)
     return checker
 
 
@@ -126,6 +123,41 @@ def _check_alspach(d: int, iseed: int, sseed: int) -> tuple[bool, float]:
     graph = gen_two_factorized(d, "circulant", extra, iseed)
     report = alspach_solve(graph, seed=sseed)
     return report.defect == 0, float(-report.defect)
+
+
+def _disjoint_matchings(graph: ColoredMultigraph, solve: Callable, target: int,
+                        floor: int) -> tuple[bool, float]:
+    """solve(graph) gives `target` edge-disjoint matchings of >= floor edges each,
+    with margin smallest size - floor; a stalled expander gives (False, nan)."""
+    try:
+        matchings = solve(graph)
+    except (HypothesisViolated, AugmentationStalled):
+        return False, math.nan
+    ids = [eid for m in matchings for eid in m]
+    margin = min(map(len, matchings), default=0) - floor
+    return (len(matchings) == target and len(set(ids)) == len(ids) and margin >= 0
+            and all(len({x for e in m for x in graph.edges[e][:2]}) == 2 * len(m)
+                    for m in matchings)), float(margin)
+
+
+def _check_expander(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
+    m = math.ceil(n * n / 1000)
+    return _disjoint_matchings(gen_grinblat(n, 2 * n + 2 * m, m, iseed),
+                               lambda g: [expander_matching(g)], 1, n)
+
+
+def _check_edge_disjoint(n: int, iseed: int, sseed: int) -> tuple[bool, float]:
+    spread, target = math.ceil(n ** 0.75), math.ceil(n ** 0.25)
+    return _disjoint_matchings(gen_grinblat(n, 2 * n + 2 + spread, 1, iseed),
+                               lambda g: edge_disjoint_matchings(g, target),
+                               target, n - spread)
+
+
+def _check_reduction(d: int, iseed: int, sseed: int) -> tuple[bool, float]:
+    graph = gen_two_factorized(d, "circulant", 4, iseed)
+    reduction = orient_bipartition_reduce(graph, sseed)
+    lifted = reduction.lift(greedy_maximal(reduction.graph))
+    return is_rainbow_matching(graph, lifted)[0], float(len(lifted))
 
 
 def _two_k4(n: int, iseed: int) -> ColoredMultigraph:
@@ -171,6 +203,19 @@ THEOREMS: dict[str, Theorem] = {
     # margin n - optimum: the colours no rainbow matching covers
     "two_k4_lb": Theorem([3], 1, "certified oracle optimum = 2 < 3",
                          _oracle(_two_k4, offset=0), seeded=False),
+    # margin n - optimum again: 0 at odd n, where the square has a transversal
+    "latin_optimum": Theorem(
+        [3, 4, 5, 6, 7], 1, "cyclic square: certified optimum = n at odd n, else n - 1",
+        _oracle(lambda n, iseed: gen_latin(n), lambda n: n - 1 + n % 2, offset=0),
+        seeded=False),
+    "expander_full": Theorem([20, 50, 100], 20, "a matching of >= n edges on "
+                             "(n, 2n + 2m), m = ceil(n^2/1000)", _check_expander),
+    "edge_disjoint": Theorem([16, 81], 5, "ceil(n^0.25) edge-disjoint matchings of >= "
+                             "n - ceil(n^0.75) edges on (n, 2n + 2 + ceil(n^0.75))",
+                             _check_edge_disjoint),
+    # margin: the size of the lifted matching
+    "reduction_lift": Theorem([10], 50, "greedy on the bipartite reduction of a "
+                              "circulant lifts to a rainbow matching", _check_reduction),
 }
 
 
@@ -206,7 +251,8 @@ def check(theorem_id: str, n_values: Optional[list[int]] = None,
     result = TheoremCheck(theorem_id)
     for n in ns:
         for trial in range(t):
-            iseed, sseed = _cell_seeds(seed, theorem_id, n, trial)
+            iseed, sseed = (derive_seed(seed, theorem_id, n, trial, part)
+                            for part in ("instance", "solver"))
             passed, margin = theorem.checker(n, iseed, sseed)
             result.cells.append(CheckCell(n=n, trial=trial, passed=passed,
                                           margin=margin, instance_seed=iseed,

@@ -1,19 +1,17 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Every criterion is implemented as a pure function of fixed seeds returning a
-JSON-serializable report.  Criteria 1, 2, 3, 7, 10(b) and 10(c) run the
-checkers that `verify --theorem` runs (`verification.THEOREMS`: grinblat_weak,
-grinblat_strong, ab_bipartite_strong, alspach_strong, ab_general_strong and
-grinblat_multiplicity) at their own seeds, and generate and solve nothing
-themselves.  When the module's first test starts, a child Python process with
-a different PYTHONHASHSEED starts too; it runs criteria 10 down to 1 and
+JSON-serializable report.  Every criterion but 9 (the oracle against brute
+force) and 10(a) (an augment property) runs checkers that `verify --theorem`
+runs (`verification.THEOREMS`) at its own seeds, and generates and solves
+nothing itself.  When the module's first test starts, a child Python process
+with a different PYTHONHASHSEED starts too; it runs criteria 10 down to 1 and
 prints their serialized reports, and the final test checks that they are
 byte-identical to this process's, so a report that depends on hash order or
 on state an earlier criterion left behind fails it.  Run as a script, this
 module is that child.
 """
 
-import itertools
 import json
 import math
 import os
@@ -25,15 +23,12 @@ from pathlib import Path
 import pytest
 
 import rainbowmatch
-from rainbowmatch.generators import (gen_ab, gen_grinblat, gen_latin,
-                                     gen_triangle_lb, gen_two_factorized,
-                                     gen_two_k4)
-from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
+from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
+from rainbowmatch.graph import ColoredMultigraph
 from rainbowmatch.seeding import derive_seed
-from rainbowmatch.solvers import (augment_flagged, edge_disjoint_matchings,
-                                  exact_max_rainbow, expander_matching,
-                                  greedy_maximal, orient_bipartition_reduce)
-from rainbowmatch.verification import ORACLE_NODE_BUDGET, THEOREMS
+from rainbowmatch.solvers import augment_flagged, exact_max_rainbow, greedy_maximal
+from rainbowmatch.verification import THEOREMS
+from test_exact import brute_force_max  # the oracle's own unit tests use it too
 
 BASE_SEED = 20250824
 # a hung child fails criterion 11 rather than the whole run
@@ -123,24 +118,22 @@ def test_criterion_3_strong_bipartite_pipeline():
 
 def criterion_4() -> dict:
     cells = {}
-    ok = True
-
-    def cell(name, graph, want):
-        nonlocal ok
-        size, _, certified = exact_max_rainbow(graph, node_budget=ORACLE_NODE_BUDGET)
-        cells[name] = {"size": size, "want": want, "certified": certified}
-        ok = ok and certified and size == want
-
-    cell("two_k4", gen_two_k4(), 2)
-    for n in range(3, 11):
-        cell(f"triangle_lb_{n}", gen_triangle_lb(n), n - 1)
-    for n in (4, 6):
-        cell(f"latin_{n}", gen_latin(n), n - 1)
-    for n in (3, 5, 7):
-        cell(f"latin_{n}", gen_latin(n), n)
-    bad = [k for k, v in cells.items()
-           if not v["certified"] or v["size"] != v["want"]]
-    return {"pass": ok, "cells": cells,
+    bad = []
+    # (cell name, theorem, n, optimum wanted, the optimum at margin 0); these
+    # theorems read no seed
+    for name, theorem_id, n, want, top in (
+            [("two_k4", "two_k4_lb", 3, 2, 3)]
+            + [(f"triangle_lb_{n}", "triangle_lb", n, n - 1, n - 1)
+               for n in range(3, 11)]
+            + [(f"latin_{n}", "latin_optimum", n, n - 1 + n % 2, n)
+               for n in (4, 6, 3, 5, 7)]):
+        [(passed, margin)] = _cells(theorem_id, n, 1, "c4")
+        certified = not math.isnan(margin)  # nan: the oracle ran out of nodes
+        cells[name] = {"size": top - int(margin) if certified else None,
+                       "want": want, "certified": certified}
+        if not passed:
+            bad.append(name)
+    return {"pass": not bad, "cells": cells,
             "detail": f"{len(bad)} failing cells: {bad}" if bad
             else f"all {len(cells)} optima certified"}
 
@@ -153,23 +146,13 @@ def test_criterion_4_oracle_lower_bounds():
 
 def criterion_5() -> dict:
     failures = []
-    for n, m in ((20, 1), (50, 3), (100, 10)):
+    checker = THEOREMS["expander_full"].checker  # reads no solver seed
+    for n, m in ((20, 1), (50, 3), (100, 10)):  # m = ceil(n^2/1000)
         for trial in range(20):
-            iseed = derive_seed(BASE_SEED, "c5", n, m, trial)
-            g = gen_grinblat(n, 2 * n + 2 * m, m, iseed)
-            try:
-                ids = expander_matching(g)
-            except Exception as exc:  # never expected
-                failures.append([n, m, trial, type(exc).__name__])
-                continue
-            seen: set = set()
-            valid = True
-            for eid in ids:
-                u, v, _ = g.edges[eid]
-                valid = valid and u not in seen and v not in seen
-                seen.update((u, v))
-            if not valid or len(ids) < n:
-                failures.append([n, m, trial, len(ids)])
+            passed, margin = checker(n, derive_seed(BASE_SEED, "c5", n, m, trial), 0)
+            if not passed:
+                failures.append([n, m, trial,
+                                 None if math.isnan(margin) else n + int(margin)])
     return {"pass": not failures, "failures": failures,
             "detail": f"{len(failures)} failures over 60 trials"}
 
@@ -181,18 +164,12 @@ def test_criterion_5_expander_full_size():
 # -- criterion 6: edge-disjoint matchings ------------------------------------
 
 def criterion_6() -> dict:
-    n = 16
-    g = gen_grinblat(n, 2 * n + 2 + math.ceil(n ** 0.75), 1,
-                     derive_seed(BASE_SEED, "c6"))
-    matchings = edge_disjoint_matchings(g, math.ceil(n ** 0.25))
-    sizes = [len(m) for m in matchings]
-    disjoint = all(not (set(a) & set(b))
-                   for a, b in itertools.combinations(matchings, 2))
-    ok = (len(matchings) == 2 and disjoint
-          and all(s >= n - 8 for s in sizes))
-    return {"pass": ok, "sizes": sizes, "disjoint": disjoint,
-            "detail": f"{len(matchings)} matchings, sizes {sizes}, "
-                      f"disjoint={disjoint}"}
+    # ceil(16^0.25) = 2 matchings of >= 16 - ceil(16^0.75) = 8 edges each
+    passed, margin = THEOREMS["edge_disjoint"].checker(
+        16, derive_seed(BASE_SEED, "c6"), 0)  # reads no solver seed
+    return {"pass": passed, "margin": margin,
+            "detail": f"2 edge-disjoint matchings of >= n - 8 edges at n = 16, "
+                      f"smallest size - (n - 8) = {margin}"}
 
 
 def test_criterion_6_edge_disjoint_matchings():
@@ -219,15 +196,10 @@ def test_criterion_7_two_factor_pipeline():
 # -- criterion 8: orientation/bipartition reduction soundness ----------------
 
 def criterion_8() -> dict:
-    g = gen_two_factorized(10, "circulant", 4, derive_seed(BASE_SEED, "c8"))
-    bad = []
-    for trial in range(50):
-        seed = derive_seed(BASE_SEED, "c8", trial)
-        red = orient_bipartition_reduce(g, seed)
-        lifted = red.lift(greedy_maximal(red.graph, "rare_color_first"))
-        ok, why = is_rainbow_matching(g, lifted)
-        if not ok:
-            bad.append([trial, why])
+    checker = THEOREMS["reduction_lift"].checker  # d = 10, 4 extra vertices
+    iseed = derive_seed(BASE_SEED, "c8")  # one circulant; 50 reduction seeds
+    bad = [trial for trial in range(50)
+           if not checker(10, iseed, derive_seed(BASE_SEED, "c8", trial))[0]]
     return {"pass": not bad, "bad": bad,
             "detail": f"{len(bad)} invalid lifts over 50 runs"}
 
@@ -237,30 +209,6 @@ def test_criterion_8_reduction_soundness():
 
 
 # -- criterion 9: oracle equals exhaustive enumeration -----------------------
-
-def _brute_force_max(graph: ColoredMultigraph) -> int:
-    best = 0
-    for r in range(1, graph.n_edges + 1):
-        hit = False
-        for subset in itertools.combinations(range(graph.n_edges), r):
-            vs: set = set()
-            cs: set = set()
-            good = True
-            for eid in subset:
-                u, v, c = graph.edges[eid]
-                if u in vs or v in vs or c in cs:
-                    good = False
-                    break
-                vs.update((u, v))
-                cs.add(c)
-            if good:
-                hit = True
-                break
-        if not hit:
-            break
-        best = r
-    return best
-
 
 def criterion_9() -> dict:
     rng = random.Random(derive_seed(BASE_SEED, "c9"))
@@ -274,7 +222,7 @@ def criterion_9() -> dict:
             edges.append((u, v, rng.randrange(n_colors)))
         g = ColoredMultigraph(n_vertices, n_colors, edges)
         size, _, certified = exact_max_rainbow(g)
-        if not certified or size != _brute_force_max(g):
+        if not certified or size != brute_force_max(g):
             mismatches.append(idx)
     return {"pass": not mismatches, "mismatches": mismatches,
             "detail": f"{len(mismatches)} mismatches over 200 tiny instances"}

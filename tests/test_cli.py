@@ -141,6 +141,15 @@ def test_search_knobs_are_not_options(tmp_path, capsys, argv, before_instance):
     assert not report.exists()
 
 
+def test_generate_offers_no_format(tmp_path, capsys):
+    # an instance file is always JSON: only the report commands take --format
+    inst = tmp_path / "f.json"
+    code, out, err = run(["generate", "--family", "two_k4", "--format", "csv",
+                          "-o", str(inst)], capsys)
+    assert code == 2 and out == "" and not inst.exists()
+    assert err == "error: unrecognized argument: --format\n"
+
+
 # a value other than each id-specific option's default
 _SET = {"n": "3", "v": "3", "m": "3", "d": "3", "extra": "3", "p": "0.3",
         "node_budget": "5"}
@@ -562,7 +571,10 @@ def test_readme_names_only_flags_its_command_has():
      "triangle_lb reads no seed: trials must be 1, got 3"),
     (["verify", "--theorem", "two_k4_lb", "--trials", "2"],
      "two_k4_lb reads no seed: trials must be 1, got 2"),
-], ids=["two-k4-n1", "two-k4-n4", "repeated-n", "triangle-trials-3", "two-k4-trials-2"])
+    (["verify", "--theorem", "latin_optimum", "--trials", "2"],
+     "latin_optimum reads no seed: trials must be 1, got 2"),
+], ids=["two-k4-n1", "two-k4-n4", "repeated-n", "triangle-trials-3", "two-k4-trials-2",
+        "latin-optimum-trials-2"])
 def test_verify_refuses_cells_it_cannot_check(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""

@@ -17,29 +17,12 @@ from rainbowmatch.solvers.exact import (_autotopism, _conjugates, _is_autotopism
 
 def brute_force_max(graph):
     """Largest rainbow subset over all edge subsets; only for tiny graphs."""
-    best = 0
-    ids = range(graph.n_edges)
-    for r in range(1, graph.n_edges + 1):
-        found = False
-        for subset in itertools.combinations(ids, r):
-            vs: set = set()
-            cs: set = set()
-            ok = True
-            for eid in subset:
-                u, v, c = graph.edges[eid]
-                if u in vs or v in vs or c in cs:
-                    ok = False
-                    break
-                vs.update((u, v))
-                cs.add(c)
-            if ok:
-                found = True
-                break
-        if found:
-            best = r
-        else:
-            break
-    return best
+    def rainbow(subset):
+        ends = [x for eid in subset for x in graph.edges[eid][:2]]
+        colors = {graph.edges[eid][2] for eid in subset}
+        return len(set(ends)) == len(ends) and len(colors) == len(subset)
+    return max(r for r in range(graph.n_edges + 1)
+               if any(map(rainbow, itertools.combinations(range(graph.n_edges), r))))
 
 
 def random_tiny_instance(rng):

@@ -8,6 +8,7 @@ from rainbowmatch.generators import gen_grinblat, gen_triangle_lb
 from rainbowmatch.graph import ColoredMultigraph
 from rainbowmatch.solvers import edge_disjoint_matchings, expander_matching
 from rainbowmatch.solvers.expander import _Expander
+from rainbowmatch.verification import THEOREMS
 
 
 def assert_matching(graph, edge_ids):
@@ -28,11 +29,9 @@ def test_single_color_single_edge():
 
 @pytest.mark.parametrize("n,m", [(20, 1), (50, 3)])
 def test_full_size_matching_on_qualifying_instances(n, m):
-    for seed in range(5):
-        g = gen_grinblat(n, 2 * n + 2 * m, m, seed)
-        ids = expander_matching(g)
-        assert len(ids) >= n
-        assert_matching(g, ids)
+    # expander_full: a matching of >= n edges on gen_grinblat(n, 2n + 2m, m)
+    assert m == math.ceil(n * n / 1000)
+    assert all(THEOREMS["expander_full"].checker(n, seed, 0)[0] for seed in range(5))
 
 
 def test_hypothesis_violation_rejected():
@@ -50,15 +49,10 @@ def test_count_target_one_equals_single_run():
     assert_matching(g, only)
 
 
+# edge_disjoint: ceil(n^0.25) pairwise edge-disjoint matchings of
+# >= n - ceil(n^0.75) edges each on gen_grinblat(n, 2n + 2 + ceil(n^0.75), 1)
 def test_two_edge_disjoint_matchings():
-    n = 16
-    g = gen_grinblat(n, 2 * n + 2 + math.ceil(n ** 0.75), 1, 3)
-    matchings = edge_disjoint_matchings(g, 2)
-    assert len(matchings) == 2
-    assert not (set(matchings[0]) & set(matchings[1]))
-    for m in matchings:
-        assert_matching(g, m)
-        assert len(m) >= n - math.ceil(n ** 0.75)
+    assert THEOREMS["edge_disjoint"].checker(16, 3, 0)[0]
 
 
 def test_disjoint_matchings_across_seeds():

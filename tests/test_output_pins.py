@@ -138,6 +138,14 @@ CHECK_PINS = {
         "f33d1a7f5130e5e67ce6dc7f0c8ca7790c64fc439ca49160210d617861911de8"),
     "two_k4_lb": ([3], 1, 9,
         "9d00e6d81b4b8eb9df55ed44773fdb44cc95b8360de0b8ee7df722c0dca40573"),
+    "latin_optimum": ([3, 4], 1, 10,
+        "1bf34fadd0262b898284d95adaaeb534817a69f7430c8422eba6049cdfdb669b"),
+    "expander_full": ([8, 12], 2, 11,
+        "6ac739ba9fa13ee37cf26fd946f1d7900b0d8cee3a18c04d216c15968f37241a"),
+    "edge_disjoint": ([16], 2, 12,
+        "05b9d4639146258b89ea1ffe881e8fb63f458ca4f3f86f5c34fe40877ce0e506"),
+    "reduction_lift": ([3, 5], 2, 13,
+        "b04dc4ba29ede4d535567347f14a74d2b70f9d76b927a31304ebf0c5290e66f4"),
 }
 
 

@@ -2,9 +2,9 @@ import pytest
 
 from rainbowmatch.errors import NotTwoFactorized
 from rainbowmatch.generators import gen_latin, gen_two_factorized
-from rainbowmatch.graph import (ColoredMultigraph, is_rainbow_matching,
-                                validate, ColorClassKind)
-from rainbowmatch.solvers import greedy_maximal, orient_bipartition_reduce
+from rainbowmatch.graph import ColoredMultigraph, validate, ColorClassKind
+from rainbowmatch.solvers import orient_bipartition_reduce
+from rainbowmatch.verification import THEOREMS
 
 
 def test_rejects_non_two_factorized():
@@ -38,10 +38,5 @@ def test_four_cycle_expected_kept_edges():
 
 
 def test_lifted_matchings_are_rainbow_in_source():
-    g = gen_two_factorized(10, "circulant", 4, 0)
-    for seed in range(50):
-        red = orient_bipartition_reduce(g, seed)
-        matching = greedy_maximal(red.graph, "rare_color_first")
-        lifted = red.lift(matching)
-        ok, why = is_rainbow_matching(g, lifted)
-        assert ok, why
+    # reduction_lift runs greedy on the reduction of this test's circulant
+    assert all(THEOREMS["reduction_lift"].checker(10, 0, seed)[0] for seed in range(50))
