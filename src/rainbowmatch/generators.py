@@ -19,67 +19,66 @@ def _latin_cayley(n: int) -> list[list[int]]:
 
 
 def _latin_shuffle(square: list[list[int]], n: int, rng: random.Random,
-                   steps: int) -> None:
-    """Randomize a Latin square in place by row-pair cycle swaps.
+                   moves: int) -> None:
+    """Randomize a Latin square in place by Jacobson-Matthews moves.
 
-    Picking two rows and swapping their entries along one cycle of the
-    two-row symbol permutation preserves the Latin property.  Not a uniform
-    sampler, but reachable squares are well mixed after ~10*n^3 steps.
-    Per-row inverse arrays make each step cost the length of its cycle.
+    View the square as a 0/1 cube over (row, column, symbol).  A move adds 1
+    at (r, c, s), (r, c2, s2), (r2, c, s2), (r2, c2, s) and subtracts 1 at the
+    other four corners of that box.  From a proper square (r, c, s) is a
+    uniform 0-cell and s2, c2, r2 are the 1s on its lines; a move may leave
+    one -1 cell, and the next starts there, taking one of the two 1s on each
+    of its lines.  The chain reaches every Latin square (Jacobson & Matthews
+    1996); it stops at the first proper square after `moves` proper moves.
+    Per-row and per-column inverse tables make a move O(1); at the -1 cell
+    they hold one of each line's two 1s and es, ec, er the other.
     """
     if n < 2:
-        return
-    # inv[r][sym] is the column of sym in row r
-    inv = [[0] * n for _ in range(n)]
-    for row, inv_row in zip(square, inv):
-        for col, sym in enumerate(row):
-            inv_row[sym] = col
-    # The draws reproduce, bit for bit, what CPython's
-    # rng.sample(range(n), 2) and rng.randrange(n) take from the stream, so
-    # every (n, seed) gives the square those calls would give: randbelow(m)
-    # draws m.bit_length() bits and rejects values >= m; sample picks from a
-    # pool for n <= 21 (randbelow(n), then randbelow(n - 1) with the first
-    # pick's slot refilled by n - 1) and redraws on a repeat for larger n.
-    # The squares thus depend only on the Mersenne Twister bit stream, not
-    # on how a Python release implements sample or randrange.
+        return  # a single cell has no 0-cell to start a move from
+    col_of = [[0] * n for _ in range(n)]
+    row_of = [[0] * n for _ in range(n)]
+    for r, row in enumerate(square):
+        for c, s in enumerate(row):
+            col_of[r][s] = c
+            row_of[c][s] = r
+    # each draw takes the fewest bits that cover its range and rejects values
+    # past it, so the squares depend only on the Mersenne Twister bit stream,
+    # not on how a Python release implements randrange
     getrandbits = rng.getrandbits
-    k = n.bit_length()
-    k_pool = (n - 1).bit_length()
-    pool = n <= 21
-    for _ in range(steps):
-        r1 = getrandbits(k)
-        while r1 >= n:
-            r1 = getrandbits(k)
-        if pool:
-            r2 = getrandbits(k_pool)
-            while r2 >= n - 1:
-                r2 = getrandbits(k_pool)
-            if r2 == r1:
-                r2 = n - 1
+    k_cell, k_sym = (n * n - 1).bit_length(), (n - 2).bit_length()
+    improper = False
+    while moves or improper:
+        if improper:
+            bits = getrandbits(3)  # which +1 to take on each line
         else:
-            r2 = getrandbits(k)
-            while r2 >= n or r2 == r1:
-                r2 = getrandbits(k)
-        start = getrandbits(k)
-        while start >= n:
-            start = getrandbits(k)
-        # walk the cycle of columns alternating between the two rows,
-        # swapping as it goes; each symbol's inverse entry is read before
-        # it is overwritten
-        row1, row2 = square[r1], square[r2]
-        inv1, inv2 = inv[r1], inv[r2]
-        col = start
-        while True:
-            a = row1[col]
-            b = row2[col]
-            row1[col] = b
-            row2[col] = a
-            inv2[a] = col
-            nxt = inv1[b]
-            inv1[b] = col
-            col = nxt
-            if col == start:
-                break
+            moves -= 1
+            cell = getrandbits(k_cell)
+            while cell >= n * n:
+                cell = getrandbits(k_cell)
+            s = getrandbits(k_sym)
+            while s >= n - 1:
+                s = getrandbits(k_sym)
+            r, c = divmod(cell, n)
+            if s >= square[r][c]:
+                s += 1
+            es, ec, er, bits = s, c, r, 0  # take the tables' 1s; (r, c, s) replaces them
+        s2, c2, r2 = square[r][c], col_of[r][s], row_of[c][s]
+        if bits & 1:
+            s2, es = es, s2
+        if bits & 2:
+            c2, ec = ec, c2
+        if bits & 4:
+            r2, er = er, r2
+        square[r][c], col_of[r][s], row_of[c][s] = es, ec, er
+        square[r][c2] = square[r2][c] = s2
+        col_of[r][s2] = col_of[r2][s] = c2
+        row_of[c][s2] = row_of[c2][s] = r2
+        improper = square[r2][c2] != s2
+        if improper:
+            r, c, s, es, ec, er = r2, c2, s2, s, c, r
+        else:
+            square[r2][c2] = s
+            col_of[r2][s2] = c
+            row_of[c2][s2] = r
 
 
 def gen_latin(n: int, mode: str = "cayley", seed: int = 0) -> ColoredMultigraph:
@@ -87,13 +86,13 @@ def gen_latin(n: int, mode: str = "cayley", seed: int = 0) -> ColoredMultigraph:
 
     Vertices 0..n-1 are rows, n..2n-1 are columns; the edge (i, n+j) gets the
     symbol in cell (i, j).  Cayley mode uses the addition table of Z_n; random
-    mode shuffles it with seeded cycle swaps.
+    mode starts there and runs 4n^2 seeded Jacobson-Matthews moves.
     """
     if n < 1:
         raise ParameterViolation("n >= 1 required")
     square = _latin_cayley(n)
     if mode == "random":
-        _latin_shuffle(square, n, random.Random(seed), 10 * n ** 3)
+        _latin_shuffle(square, n, random.Random(seed), 4 * n * n)
     elif mode != "cayley":
         raise ParameterViolation(f"unknown latin mode {mode!r}")
     edges = [(i, n + j, square[i][j]) for i in range(n) for j in range(n)]

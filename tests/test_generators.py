@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
+from rainbowmatch import generators
 from rainbowmatch.errors import ParameterViolation
 from rainbowmatch.generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
                                      gen_multiplicity_lb, gen_triangle_lb,
@@ -35,19 +37,116 @@ def test_latin_random_differs_from_cayley():
 
 
 # SHA-256 of the compact JSON edge list, pinned so that no change to the
-# shuffle alters an instance; (20, 9) and (22, 4) sit on either side of the
-# n <= 21 boundary where the row-pair draws change method
+# chain alters an instance; 7 is prime, the others even, and a cell draw
+# rejects values at 20 and 22 but never at 32, whose n^2 is a power of two
 @pytest.mark.parametrize("n,seed,digest", [
     (2, 0, "9f79928f566e974b09044487a43aeb4982c110613a85ae7ebb36b0b20981a992"),
-    (7, 1, "c97261257410faa1f8a4320d6beb91d699ed4eabd6f35a430810b5a0b82a95a6"),
-    (20, 9, "b9355dafa949807031d33e6138e5bb1ba50dbd599853ec174bb6e929de8abbbc"),
-    (22, 4, "c1b88548b22f609025d766aaf437ed41b51b545e6227e0bcaf8b5cc51db378ef"),
-    (32, 12345, "3e1b36ed76ae9009c38c95c80856223c9ea69a46a8c7967214cb0f1a68dac76d"),
+    (7, 1, "18f470eb6f14258cb98183e5c99dcd5bc22bbb095f74206725d066e7ac8b7371"),
+    (20, 9, "5d2562bc1050b2fb4cde2c4da64a7df677a91b1bdfed9004bc0eaad3f7349898"),
+    (22, 4, "5c99c462c52ad88eaa78ee7779f322d0907c204426769fd363ba70f1341fa20a"),
+    (32, 12345, "f4a2dab5df17b7ab8c644fd981cf999f401836aaf07c74650045915cc18c920c"),
 ])
 def test_latin_random_instances_are_pinned(n, seed, digest):
     edges = gen_latin(n, "random", seed).edges
     text = json.dumps(edges, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _square(g):
+    n = g.n_colors
+    square = [[None] * n for _ in range(n)]
+    for u, v, c in g.edges:
+        square[u][v - n] = c
+    return square
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13])
+def test_latin_random_leaves_the_cyclic_class_at_prime_order(n):
+    # at prime n a row-pair cycle swap of Z_n's table only swaps two rows
+    for seed in range(10):
+        square = _square(gen_latin(n, "random", seed))
+        assert any(row[j] != (row[0] + j) % n for row in square for j in range(n)), seed
+
+
+def test_latin_random_intercalates_near_the_uniform_mean():
+    # a uniform square of order n has about n^2/4 intercalates (2x2 subsquares):
+    # the 2-cycles of j -> column in row a of the symbol at (b, j)
+    n, counts = 32, []
+    for seed in range(5):
+        square = _square(gen_latin(n, "random", seed))
+        col_of = [{sym: j for j, sym in enumerate(row)} for row in square]
+        count = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                perm = [col_of[a][sym] for sym in square[b]]
+                count += sum(1 for j in range(n) if j < perm[j] and perm[perm[j]] == j)
+        counts.append(count)
+    assert 0.75 * n * n / 4 <= sum(counts) / len(counts) <= 1.25 * n * n / 4
+
+
+def _cube_chain(n, seed, moves):
+    """The Jacobson-Matthews chain on a plain +-1 cube, with _latin_shuffle's
+    draws; at the -1 cell, bit k of the draw takes the +1 that the previous
+    move set on that line."""
+    rng = random.Random(seed)
+    cube = {(i, j, (i + j) % n): 1 for i in range(n) for j in range(n)}
+
+    def below(m):
+        x = rng.getrandbits((m - 1).bit_length())
+        return x if x < m else below(m)
+
+    def ones(cells):
+        return [x for x, key in cells if cube.get(key) == 1]
+
+    bad = None
+    while n > 1 and (moves or bad):
+        if bad:
+            (r, c, s), last = bad, (s, c, r)
+            bits = rng.getrandbits(3)
+            pairs = (ones((t, (r, c, t)) for t in range(n)),
+                     ones((t, (r, t, s)) for t in range(n)),
+                     ones((t, (t, c, s)) for t in range(n)))
+            assert all(len(pair) == 2 for pair in pairs)
+            s2, c2, r2 = (x if bits >> k & 1 else pair[pair[0] == x]
+                          for k, (pair, x) in enumerate(zip(pairs, last)))
+        else:
+            moves -= 1
+            r, c = divmod(below(n * n), n)
+            [s2] = ones((t, (r, c, t)) for t in range(n))
+            s = below(n - 1)
+            s += s >= s2
+            [c2] = ones((t, (r, t, s)) for t in range(n))
+            [r2] = ones((t, (t, c, s)) for t in range(n))
+        for sign, cells in ((1, ((r, c, s), (r, c2, s2), (r2, c, s2), (r2, c2, s))),
+                            (-1, ((r, c, s2), (r, c2, s), (r2, c, s), (r2, c2, s2)))):
+            for key in cells:
+                cube[key] = cube.get(key, 0) + sign
+        assert min(cube.values()) >= -1 and list(cube.values()).count(-1) <= 1
+        bad = (r2, c2, s2) if cube[(r2, c2, s2)] == -1 else None
+    return sorted((i, n + j, t) for (i, j, t), v in cube.items() if v == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_latin_shuffle_is_the_jacobson_matthews_chain(n):
+    for seed in range(4):
+        assert sorted(gen_latin(n, "random", seed).edges) == _cube_chain(n, seed, 4 * n * n)
+
+
+class _StreamOnlyRandom(random.Random):
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("draw outside getrandbits")
+
+    random = randrange = randint = choice = sample = shuffle = _refuse
+
+
+def test_latin_random_draws_only_from_the_bit_stream(monkeypatch):
+    cases = [(n, s) for n in range(1, 13) for s in range(3)] + [(32, 0)]
+    expected = {(n, s): gen_latin(n, "random", s).edges for n, s in cases}
+    monkeypatch.setattr(generators.random, "Random", _StreamOnlyRandom)
+    for n, s in cases:
+        g = gen_latin(n, "random", s)
+        assert validate(g, ColorClassKind.MATCHING).valid
+        assert g.edges == expected[(n, s)] == gen_latin(n, "random", s).edges
 
 
 def test_ab_counts_and_validation():
