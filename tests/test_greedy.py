@@ -82,6 +82,17 @@ def test_rare_color_first_is_pinned(make, digest):
     assert _digest(greedy_maximal(make(), "rare_color_first").pairs) == digest
 
 
+# digests of the pairs in placement order, one per seed of the shuffle
+@pytest.mark.parametrize("seed, digest", [
+    (0, "ee65a887dae06ac8f5d692a185b7f76403505e373bdfb26010947c2a1dfd8d0e"),
+    (1, "f8efe85bc7c3cbb08b90274f715f10c5eecbfb0730de97876f2c754ab1b825e0"),
+    (2, "51466e5e82ad3a06f2aca9e398f39515b12eb8d47d4dd96e1bebd6c79100ce0d"),
+    (3, "c3358725a8c6d1beb91c24ed44d660b14d866edc6bb5c2e2152d5675c288b320"),
+])
+def test_random_order_is_pinned(seed, digest):
+    assert _digest(greedy_maximal(gen_ab(20, 5, False, 2), "random", seed).pairs) == digest
+
+
 # digests of (pairs in placement order, stuck colour)
 @pytest.mark.parametrize("make, missing, digest", [
     (lambda: gen_grinblat(40, 120, 40, 1), range(1, 40, 2),

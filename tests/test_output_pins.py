@@ -40,8 +40,12 @@ GENERATE_PINS = [
      "39be6ec9da1fc1e7d0f9be64f1a7f6963a635aaf4c1f6246ff00f2cb6f98c39d"),
     ("grinblat", ["--n", "6", "--v", "18", "--m", "6", "--seed", "2"],
      "cdb14dd6cf1e39b5ccbc2caf72c71d39012e30f4bca76d5c1a640c2f6c888e17"),
+    # m = 2 binds: three rejected cliques reshuffle their colour's tail
     ("grinblat", ["--n", "10", "--v", "24", "--m", "2", "--seed", "4"],
      "7f4465c7897490e78b06c5e7ca138e006c48034711c3343bd46e6e786b7cc28a"),
+    # m >= n never checks the cap; a pool of 350 shuffles past 256 ids
+    ("grinblat", ["--n", "100", "--v", "300", "--m", "100", "--seed", "5"],
+     "52f67be76887d343852f1ef21f103e183a53d4dc508b60054966b4e8107ebdce"),
     ("triangle_lb", ["--n", "3"],
      "30a5546a4ee002b333ee3fb926330926b854110b08ad0853c646f27fbb5aa59a"),
     ("triangle_lb", ["--n", "6"],
