@@ -12,6 +12,7 @@ from typing import Any, Callable, Optional
 
 from .errors import GenerationStuck, ParameterViolation
 from .graph import ColorClassKind, ColoredMultigraph, _pair
+from .seeding import shuffle
 
 
 def _latin_cayley(n: int) -> list[list[int]]:
@@ -121,14 +122,14 @@ def gen_ab(n: int, extra: int, bipartite: bool, seed: int) -> ColoredMultigraph:
         left_ids = list(range(left))
         right_ids = list(range(left, pool))
         for c in range(n):
-            rng.shuffle(left_ids)
-            rng.shuffle(right_ids)
+            shuffle(rng, left_ids)
+            shuffle(rng, right_ids)
             for k in range(size):
                 edges.append((left_ids[k], right_ids[k], c))
     else:
         ids = list(range(pool))
         for c in range(n):
-            rng.shuffle(ids)
+            shuffle(rng, ids)
             for k in range(size):
                 edges.append((ids[2 * k], ids[2 * k + 1], c))
     return ColoredMultigraph(pool, n, edges, sides=sides)
@@ -139,7 +140,9 @@ def gen_grinblat(n: int, v: int, m: int, seed: int) -> ColoredMultigraph:
 
     The pair multiplicity cap m is enforced globally by rejecting clique
     placements that would exceed it; after 1000*n rejections the (n, v, m)
-    combination is declared infeasible.
+    combination is declared infeasible.  A colour's cliques take one shuffle
+    of the pool in order.  It never runs out: v - spanned + ceil(n/2) ids are
+    left, enough for a K3 when v - spanned >= 3 and for a K2 when it is >= 1.
     """
     if n < 1 or v < 2 or m < 1:
         raise ParameterViolation("need n >= 1, v >= 2, m >= 1")
@@ -172,38 +175,32 @@ def gen_grinblat(n: int, v: int, m: int, seed: int) -> ColoredMultigraph:
     for c in range(n):
         ratio = random_()  # triangle share of this color's clique budget
         available = ids.copy()
-        rng.shuffle(available)
-        idx = 0
-        spanned = 0
-        while spanned < v:
-            left = pool - idx
-            want3 = random_() < ratio and left >= 3 and v - spanned >= 3
-            k = 3 if want3 else 2
-            if left < k:
-                raise GenerationStuck(
-                    f"color {c}: pool exhausted at spanned={spanned} < v={v}")
-            if unchecked:
-                a = available[idx]
-                b = available[idx + 1]
-                if k == 2:
-                    append((a, b, c) if a < b else (b, a, c))
-                else:
-                    d = available[idx + 2]
-                    append((a, b, c) if a < b else (b, a, c))
+        shuffle(rng, available)
+        spanned = 0  # also the index of the next unused id in available
+        if unchecked:
+            while spanned < v:
+                a = available[spanned]
+                b = available[spanned + 1]
+                append((a, b, c) if a < b else (b, a, c))
+                if random_() < ratio and v - spanned >= 3:
+                    d = available[spanned + 2]
                     append((a, d, c) if a < d else (d, a, c))
                     append((b, d, c) if b < d else (d, b, c))
-                idx += k
-                spanned += k
-            elif place(available[idx:idx + k], c):
-                idx += k
+                    spanned += 3
+                else:
+                    spanned += 2
+            continue
+        while spanned < v:
+            k = 3 if random_() < ratio and v - spanned >= 3 else 2
+            if place(available[spanned:spanned + k], c):
                 spanned += k
             else:
                 budget -= 1
                 if budget <= 0:
                     raise GenerationStuck(f"(n={n}, v={v}, m={m}) looks infeasible")
-                tail = available[idx:]
-                rng.shuffle(tail)
-                available[idx:] = tail
+                tail = available[spanned:]
+                shuffle(rng, tail)
+                available[spanned:] = tail
     return ColoredMultigraph(pool, n, edges)
 
 
@@ -249,7 +246,7 @@ def gen_multiplicity_lb(n: int, d: int, seed: int) -> ColoredMultigraph:
     for c in range(n):
         for b in range(blocks):
             verts = list(range(b * block_size, (b + 1) * block_size))
-            rng.shuffle(verts)
+            shuffle(rng, verts)
             x, y, z = verts[:3]
             edges.extend([(x, y, c), (x, z, c), (y, z, c)])
             rest = verts[3:]

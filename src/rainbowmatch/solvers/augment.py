@@ -22,6 +22,7 @@ from operator import itemgetter
 from typing import Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
+from ..seeding import shuffle
 from .greedy import _greedy_pass
 
 
@@ -254,7 +255,7 @@ class _Augmenter:
         c0 = self.free_colors()
         free_vertices = [v for v in range(self.graph.n_vertices)
                          if v not in self.match_at]
-        self.rng.shuffle(free_vertices)
+        shuffle(self.rng, free_vertices)
         for depth in range(3, MAX_DEPTH + 1, 2):
             for v0 in free_vertices:
                 found = self._search_from(v0, depth, c0)

@@ -6,6 +6,7 @@ import random
 from typing import Iterable, Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
+from ..seeding import shuffle
 
 
 def _greedy_pass(graph: ColoredMultigraph, order: list[int],
@@ -74,7 +75,7 @@ def greedy_maximal(graph: ColoredMultigraph, order: str = "rare_color_first",
     if order != "random":
         raise ValueError(f"unknown order {order!r}")
     ids = list(range(graph.n_edges))
-    random.Random(seed).shuffle(ids)
+    shuffle(random.Random(seed), ids)
     pairs = []
     _greedy_pass(graph, ids, set(), set(), pairs)
     return RainbowMatching(pairs=pairs)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..graph import ColoredMultigraph
+from ..seeding import shuffle
 
 ROUND_FRACTION = 0.1  # share of the surviving hyperedges each nibble round samples
 
@@ -57,7 +58,7 @@ def nibble_match(h: AuxHypergraph, seed: int = 0) -> list[int]:
     # priority and alive share one set of index ints
     alive = list(range(len(triples)))
     priority = alive.copy()
-    rng.shuffle(priority)
+    shuffle(rng, priority)
 
     matched: list[int] = []
     used_v: set[int] = set()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from rainbowmatch import generators
-from rainbowmatch.errors import ParameterViolation
+from rainbowmatch.errors import GenerationStuck, ParameterViolation
 from rainbowmatch.generators import (FAMILIES, gen_ab, gen_grinblat, gen_latin,
                                      gen_multiplicity_lb, gen_triangle_lb,
                                      gen_two_factorized, gen_two_k4)
@@ -198,6 +198,24 @@ def test_grinblat_shares_one_object_per_vertex_id(seed):
 def test_grinblat_cap_fast_path_matches_slow_path():
     # a cap of n can never bind, so both bookkeeping paths must agree
     assert gen_grinblat(10, 30, 10, 5).edges == gen_grinblat(10, 30, 9, 5).edges
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grinblat_pool_never_runs_out(n):
+    # v ids of a pool of v + ceil(n/2) are spanned at most, so a colour always
+    # has a clique's ids left; the only way to fail is the rejection budget
+    for v in range(2, 10):
+        for m in (1, n):
+            for seed in range(3):
+                try:
+                    g = gen_grinblat(n, v, m, seed)
+                except GenerationStuck as exc:
+                    assert m < n and str(exc).endswith("looks infeasible")
+                    continue
+                report = validate(g, ColorClassKind.CLIQUE_UNION)
+                assert report.valid
+                assert all(report.decompositions[c].spanned_vertices >= v
+                           for c in range(n))
 
 
 def test_triangle_lb_shape():

@@ -37,6 +37,18 @@ def test_verdicts_read_no_clock():
     assert found == []
 
 
+def test_shuffles_go_through_seeding():
+    """Every shuffle is `seeding.shuffle`, whose order is fixed by the Mersenne
+    Twister bit stream alone: no `.shuffle(` method is called in the package."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(SRC)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "shuffle"]
+    assert found == []
+
+
 def _calls(node):
     """(line, name) of each call under `node` to a plain or dotted name."""
     for call in ast.walk(node):
