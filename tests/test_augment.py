@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import rainbowmatch.solvers.augment as augment_module
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
 from rainbowmatch.graph import ColoredMultigraph, RainbowMatching, is_rainbow_matching
+from rainbowmatch.seeding import derive_seed
 from rainbowmatch.solvers import augment_flagged, greedy_maximal, sampling_solve
 
 
@@ -133,6 +134,16 @@ def test_heavy_pair_search_is_pinned(monkeypatch, instance, budget, digest):
     assert _digest(out.pairs, exhausted) == digest
     ok, why = is_rainbow_matching(g, out)
     assert ok, why
+
+
+def test_augment_solver_is_pinned_at_the_default_depth():
+    # solve --solver augment --seed 43 on this square: paths of 9 edges reach a
+    # full transversal, where paths of at most 7 stop at 30 colours
+    g = gen_latin(32, "random", 43)
+    out, exhausted = augment_flagged(g, greedy_maximal(g), seed=derive_seed(43, "augment"))
+    assert len(out) == 32
+    assert (_digest(out.pairs, exhausted)
+            == "d77e9a2f7511106cc80e6819b441143ecffe8a5e18d90da73e542396a17cc75b")
 
 
 def test_heavy_pairs_take_the_wildcard_branch(monkeypatch):

@@ -85,9 +85,33 @@ def test_default_p():
     # every one of the five attempts repairs
     (lambda: sampling_solve(gen_latin(32, "random", 0), 0.5, seed=0),
      "349a21f17affd824626b126f113559c3f767ca76eb7f4482cbb8660dee548138"),
-], ids=["alspach-symmetric_latin-d7", "alspach-circulant-d20", "sampling-latin32"])
+    # the first attempt's weak augment finds a path of 7 edges
+    (lambda: sampling_solve(gen_ab(100, 79, False, 1), 0.5, seed=1),
+     "7c89494bef9dd196547a0d58fa4179adfcf29c887b59c69ddae351a526e15b69"),
+], ids=["alspach-symmetric_latin-d7", "alspach-circulant-d20", "sampling-latin32",
+        "sampling-ab_general-n100"])
 def test_pipeline_reports_are_pinned(solve, digest):
     report = solve()
     doc = json.dumps([report.matching.pairs, [list(p) for p in report.phase_log],
                       report.seeds_used])
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_latin_random_keeps_its_full_transversals():
+    # the repair's paths of 7 and 9 edges count here: 5 of these 20 solves
+    # reach defect 0, and 3 do when every augment stops at 5 edges
+    full = sum(sampling_solve(gen_latin(32, "random", s), 0.5, seed=s).defect == 0
+               for s in range(20))
+    assert full >= 5
+
+
+@pytest.mark.parametrize("make", [lambda s: gen_ab(64, 0, True, s),
+                                  lambda s: gen_grinblat(64, 128, 7, s)],
+                         ids=["ab_bipartite-surplus0", "grinblat-v2n-m7"])
+def test_small_surplus_completion_does_work(make):
+    # the weak solve leaves colours here, and completion in the sample places some
+    for s in range(10):
+        report = sampling_solve(make(s), default_p(64), seed=s)
+        assert report.defect == 0
+        _, before, after = next(p for p in report.phase_log if p[0] == "complete")
+        assert after > before
