@@ -2,7 +2,8 @@
 
 All randomness flows from one 64-bit seed (flag, or RAINBOW_SEED when the
 flag is absent).  Reports embed a run manifest; with SOURCE_DATE_EPOCH set
-the output bytes are a pure function of the command line and input files.
+the output bytes are a pure function of the command line (with each file
+argument by its base name) and the input files.
 """
 
 from __future__ import annotations
@@ -256,6 +257,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _base_names(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """argv with each file argument cut to its base name, so a report's bytes
+    do not depend on the work directory; input_digest identifies the input."""
+    paths = [p for p in (getattr(args, "instance", None), args.out) if p]
+    for i, tok in enumerate(argv):
+        p = next((p for p in paths if tok.endswith(p)), None)
+        if p is not None:
+            argv[i] = tok[:len(tok) - len(p)] + os.path.basename(p)
+    return argv
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -271,7 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     handlers = {"generate": _cmd_generate, "solve": _cmd_solve,
                 "verify": _cmd_verify, "sweep": _cmd_sweep}
     try:
-        return handlers[args.command](args, ["rainbowmatch"] + list(argv))
+        return handlers[args.command](args, ["rainbowmatch"] + _base_names(list(argv), args))
     except (RainbowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,11 @@
 
 Improvements are alternating paths between two uncovered vertices whose
 non-matching edges take distinct colors from the free colors plus the colors
-released by the matching edges removed along the path.  A step to a
-neighbour joined by at least HEAVY_THRESHOLD usable colors is traversed as a
-wildcard; its concrete color is assigned when the path reaches a free vertex,
-and the path is applied with that assignment.
+released by the matching edges removed along the path.  A path has at most
+MAX_DEPTH (9) edges, or 5 in sampling's weak solve.  A step to a neighbour
+joined by at least HEAVY_THRESHOLD usable colors is traversed as a wildcard;
+its concrete color is assigned when the path reaches a free vertex, and the
+path is applied with that assignment.
 
 NODE_BUDGET counts search-tree expansions: one per entry into the depth-first
 search, whatever work that node then does.  The per-vertex neighbour cache
@@ -97,8 +98,9 @@ def _assign_colors(gains: list[_Gain], freed: set[int], c0: set[int]) -> Optiona
 
 class _Augmenter:
     def __init__(self, graph: ColoredMultigraph, matching: RainbowMatching,
-                 seed: int):
+                 seed: int, max_depth: int):
         self.graph = graph
+        self.max_depth = max_depth
         self.rng = random.Random(seed)
         # each dfs entry spends a node first, then stops once none is left
         self.nodes_left = NODE_BUDGET
@@ -256,7 +258,7 @@ class _Augmenter:
         free_vertices = [v for v in range(self.graph.n_vertices)
                          if v not in self.match_at]
         shuffle(self.rng, free_vertices)
-        for depth in range(3, MAX_DEPTH + 1, 2):
+        for depth in range(3, self.max_depth + 1, 2):
             for v0 in free_vertices:
                 found = self._search_from(v0, depth, c0)
                 if found is not None:
@@ -276,11 +278,15 @@ class _Augmenter:
 
 
 def augment_flagged(graph: ColoredMultigraph, matching: RainbowMatching,
-                    seed: int = 0) -> tuple[RainbowMatching, bool]:
-    """Grow a rainbow matching by alternating paths of at most MAX_DEPTH
+                    seed: int = 0, max_depth: int = MAX_DEPTH
+                    ) -> tuple[RainbowMatching, bool]:
+    """Grow a rainbow matching by alternating paths of at most max_depth
     edges; returns it and whether NODE_BUDGET ran out.
+
+    Sampling's weak solve passes sampling.WEAK_MAX_DEPTH (5); every other
+    caller keeps MAX_DEPTH (9).
 
     Monotone: the result is never smaller than the input.  Budget exhaustion
     returns the current matching.
     """
-    return _Augmenter(graph, matching, seed).run()
+    return _Augmenter(graph, matching, seed, max_depth).run()

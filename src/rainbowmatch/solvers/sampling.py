@@ -5,7 +5,9 @@ of times and keep the best matching.
 
 sample_and_complete is that skeleton, taking the weak solver and p as inputs.
 sampling_solve plugs in greedy + augment on the rest (Aharoni–Berger,
-Grinblat); two_factor.alspach_solve plugs in the auxiliary-hypergraph nibble.
+Grinblat), whose paths stop at WEAK_MAX_DEPTH (5) edges while the repair's
+go to augment.MAX_DEPTH (9); two_factor.alspach_solve plugs in the
+auxiliary-hypergraph nibble.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ PhaseLog = list[tuple[str, int, int]]
 
 # attempts per solve, each with a fresh sample
 MAX_RESAMPLES = 5
+# the weak solve's longest augmenting path, in edges.  In BENCH_26.json's
+# yield table it spent 96 % of its nodes on latin_random and at small surplus
+# at depths 7 and 9, finding no path there; its few such paths at large
+# surplus are colours that completion places anyway (defect 0 either way)
+WEAK_MAX_DEPTH = 5
 
 
 def default_p(n_colors: int) -> float:
@@ -122,7 +129,8 @@ def _greedy_augment(graph: ColoredMultigraph, split: SampleSplit, seed: int,
     matching = greedy_maximal(rest_graph)
     log.append(("weak_greedy", 0, len(matching)))
     before = len(matching)
-    matching, _ = augment_flagged(rest_graph, matching, derive_seed(seed, "augment"))
+    matching, _ = augment_flagged(rest_graph, matching, derive_seed(seed, "augment"),
+                                  max_depth=WEAK_MAX_DEPTH)
     log.append(("weak_augment", before, len(matching)))
     return _lift(matching.pairs, rest_map)
 

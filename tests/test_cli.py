@@ -382,6 +382,28 @@ def test_reports_reproducible_under_source_date_epoch(tmp_path, capsys, monkeypa
     assert json.loads(outs[0])["elapsed_ms"] == 0
 
 
+def test_report_bytes_do_not_depend_on_the_work_directory(tmp_path, capsys,
+                                                          monkeypatch):
+    # absolute paths from two directories: the manifest names files by base name
+    inst = tmp_path / "in" / "inst.json"
+    inst.parent.mkdir()
+    run(["generate", "--family", "ab_bipartite", "--n", "12", "--seed", "3",
+         "-o", str(inst)], capsys)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    reports = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        report = tmp_path / name / "report.json"
+        code, _, _ = run(["solve", "--solver", "sampling", "--seed", "4",
+                          f"--out={report}", str(inst)], capsys)
+        assert code == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert (json.loads(reports[0])["manifest"]["command_line"] == "rainbowmatch solve "
+            "--solver sampling --seed 4 --out=report.json inst.json")
+
+
 _SMALL = st.integers(-2, 6)
 _INSTANCE_DOCS = st.fixed_dictionaries(
     {"n_vertices": _SMALL, "n_colors": _SMALL,
