@@ -260,7 +260,9 @@ def _parser() -> argparse.ArgumentParser:
 def _base_names(argv: list[str], args: argparse.Namespace) -> list[str]:
     """argv with each file argument cut to its base name, so a report's bytes
     do not depend on the work directory; input_digest identifies the input."""
-    paths = [p for p in (getattr(args, "instance", None), args.out) if p]
+    # longest first: one file's relative path may end another's absolute one
+    paths = sorted(filter(None, (getattr(args, "instance", None), args.out)),
+                   key=len, reverse=True)
     for i, tok in enumerate(argv):
         p = next((p for p in paths if tok.endswith(p)), None)
         if p is not None:

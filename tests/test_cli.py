@@ -404,6 +404,20 @@ def test_report_bytes_do_not_depend_on_the_work_directory(tmp_path, capsys,
             "--solver sampling --seed 4 --out=report.json inst.json")
 
 
+def test_manifest_cuts_each_file_argument_to_its_base_name(tmp_path, capsys,
+                                                           monkeypatch):
+    # the instance's relative path is a suffix of the report's absolute path
+    monkeypatch.chdir(tmp_path)
+    run(["generate", "--family", "two_k4", "-o", "inst.json"], capsys)
+    report = tmp_path / "out" / "inst.json"
+    report.parent.mkdir()
+    code, _, _ = run(["solve", "--solver", "greedy", "-o", str(report), "inst.json"],
+                     capsys)
+    assert code == 0
+    assert (json.loads(report.read_text())["manifest"]["command_line"]
+            == "rainbowmatch solve --solver greedy -o inst.json inst.json")
+
+
 _SMALL = st.integers(-2, 6)
 _INSTANCE_DOCS = st.fixed_dictionaries(
     {"n_vertices": _SMALL, "n_colors": _SMALL,
