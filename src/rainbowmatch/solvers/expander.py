@@ -232,22 +232,28 @@ def edge_disjoint_matchings(graph: ColoredMultigraph,
     """Repeatedly extract full-size matchings, deleting each one's edges and
     dropping colors it used more than sqrt(n) times.
 
-    Stops early when the spanning hypothesis degrades below 2n+2m: the
-    working instance is always K2/K3 cliques, so that is the only hypothesis
-    expander_matching can find violated.  Returned matchings are lists of
-    source-graph edge ids with empty pairwise intersections.
+    Returns count_target matchings, as lists of source-graph edge ids with
+    empty pairwise intersections.  Raises HypothesisViolated, naming how many
+    it found, when it stops short: when the spanning hypothesis degrades
+    below 2n+2m (the working instance is always K2/K3 cliques, so that is the
+    only hypothesis expander_matching can find violated), or when every
+    color has been dropped.
     """
     n0 = graph.n_colors
     active = set(range(n0))
     state = _CliqueState(graph)
     heavy_cut = math.sqrt(n0)
     results: list[list[int]] = []
-    while len(results) < count_target and active:
+    while len(results) < count_target:
+        short = f"found {len(results)} of {count_target} edge-disjoint matchings"
+        if not active:
+            raise HypothesisViolated(f"{short}: every color was used more than "
+                                     f"sqrt(n) times")
         sub, ids = state.build(active)
         try:
             local = expander_matching(sub)
-        except HypothesisViolated:
-            break
+        except HypothesisViolated as exc:
+            raise HypothesisViolated(short) from exc
         orig = [ids[eid] for eid in local]
         results.append(sorted(orig))
         used_per_color: dict[int, int] = {}

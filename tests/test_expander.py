@@ -58,13 +58,30 @@ def test_two_edge_disjoint_matchings():
 def test_disjoint_matchings_across_seeds():
     n = 25
     target = math.ceil(n ** 0.25)
-    for seed in range(3):
+    for seed in (1, 2):
         g = gen_grinblat(n, 2 * n + 2 + math.ceil(n ** 0.75), 1, seed)
         ms = edge_disjoint_matchings(g, target)
+        assert len(ms) == target
         for i in range(len(ms)):
             assert_matching(g, ms[i])
             for j in range(i + 1, len(ms)):
                 assert not (set(ms[i]) & set(ms[j]))
+
+
+def test_disjoint_matchings_report_a_shortfall():
+    # after two rounds a colour of gen_grinblat(25, 64, 1, 0) spans fewer
+    # than 2n + 2m = 48 vertices, so the third matching cannot be found
+    g = gen_grinblat(25, 64, 1, 0)
+    with pytest.raises(HypothesisViolated, match="found 2 of 3") as info:
+        edge_disjoint_matchings(g, 3)
+    assert isinstance(info.value.__cause__, HypothesisViolated)
+
+
+def test_disjoint_matchings_report_running_out_of_colors():
+    # the one colour is used twice, more than sqrt(1) times, and is dropped
+    g = ColoredMultigraph(4, 1, [(0, 1, 0), (2, 3, 0)])
+    with pytest.raises(HypothesisViolated, match="found 1 of 2"):
+        edge_disjoint_matchings(g, 2)
 
 
 def _round_robin_colors(n, seed):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.generators import gen_ab, gen_grinblat, gen_latin
-from rainbowmatch.graph import is_rainbow_matching
+from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
 from rainbowmatch.solvers import greedy_maximal
-from rainbowmatch.solvers.greedy import try_complete
+from rainbowmatch.solvers.greedy import _scarcest_first, try_complete
 
 
 def assert_maximal(graph, matching):
@@ -56,7 +56,6 @@ def test_try_complete_places_missing_colors():
 
 def test_try_complete_reports_first_stuck_color():
     # two colors but a single vertex pair: the second color cannot be placed
-    from rainbowmatch.graph import ColoredMultigraph
     g = ColoredMultigraph(2, 2, [(0, 1, 0), (0, 1, 1)])
     matching, stuck = try_complete(g, [0, 1])
     assert len(matching) == 1
@@ -104,3 +103,63 @@ def test_random_order_is_pinned(seed, digest):
 def test_try_complete_is_pinned(make, missing, digest):
     matching, stuck = try_complete(make(), missing)
     assert _digest([matching.pairs, stuck]) == digest
+
+
+def _naive_scarcest_first(graph, colors, strict):
+    """_scarcest_first with every live-edge count recounted at each step."""
+    covered: set = set()
+    remaining = sorted(set(colors))
+    pairs = []
+    while remaining:
+        live = {c: [e for e in graph.color_edges[c]
+                    if not covered & set(graph.edges[e][:2])] for c in remaining}
+        best = min(remaining, key=lambda c: (len(live[c]), c))
+        if not live[best]:
+            if strict:
+                return pairs, best
+            remaining = [c for c in remaining if live[c]]
+            continue
+        eid = live[best][0]
+        pairs.append((eid, best))
+        remaining.remove(best)
+        covered.update(graph.edges[eid][:2])
+    return pairs, None
+
+
+@st.composite
+def _graphs_and_colors(draw):
+    """Small multigraphs with parallel edges, a few colours out of up to 12 or
+    out of ids 0-999, and a colour list that may repeat, skip or name absent
+    colours."""
+    n_vertices = draw(st.integers(2, 9))
+    n_colors = draw(st.integers(1, 12) | st.integers(257, 1000))
+    palette = draw(st.lists(st.integers(0, n_colors - 1), min_size=1, max_size=10))
+    vertex = st.integers(0, n_vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.sampled_from(palette))
+                          .filter(lambda e: e[0] != e[1]), max_size=40))
+    used = st.sampled_from(palette)
+    colors = draw(st.just(range(n_colors)) | st.lists(used, max_size=12)
+                  | st.lists(used | st.integers(0, n_colors - 1), max_size=12))
+    return ColoredMultigraph(n_vertices, n_colors, edges), colors
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(case=_graphs_and_colors())
+def test_scarcest_first_matches_a_recounting_reference(strict, case):
+    graph, colors = case
+    assert _scarcest_first(graph, colors, strict) == _naive_scarcest_first(graph, colors, strict)
+
+
+@pytest.mark.parametrize("strict, colors, stuck", [
+    (False, range(70_000), None),
+    (True, [69_999, 0xFFFF, 0x10000, 0xFFFE], 69_999),
+])
+def test_scarcest_first_past_two_byte_colors(strict, colors, stuck):
+    # 70,000 colours take the wide colour array, where 0xFFFF is a colour
+    edges = [(0, 1, 0xFFFF), (2, 3, 0x10000), (4, 5, 69_999),
+             (0, 1, 69_999), (2, 3, 0xFFFF), (4, 5, 0xFFFE)]
+    graph = ColoredMultigraph(6, 70_000, edges)
+    got = _scarcest_first(graph, colors, strict)
+    assert got == ([(5, 0xFFFE), (1, 0x10000), (0, 0xFFFF)], stuck)
+    assert got == _naive_scarcest_first(graph, colors, strict)

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rainbowmatch"
@@ -16,24 +17,31 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _absolute_imports(path):
+    """(line, top-level module name) of each absolute import in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
 def test_verdicts_read_no_clock():
     """Solvers and checkers decide from their inputs, never the time: only the
     command line, which reports a solve's wall time, imports a clock."""
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        name = str(path.relative_to(SRC))
-        if name == "cli.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{name}:{node.lineno}" for mod in modules
-                      if mod.split(".")[0] in ("time", "datetime")]
+    found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC) != Path("cli.py")
+             for line, mod in _absolute_imports(path) if mod in ("time", "datetime")]
+    assert found == []
+
+
+def test_imports_are_stdlib_only():
+    """The package needs nothing but the standard library: every absolute
+    import names a standard-library module."""
+    found = [f"{path.relative_to(SRC)}:{line} {mod}" for path in sorted(SRC.rglob("*.py"))
+             for line, mod in _absolute_imports(path)
+             if mod not in sys.stdlib_module_names]
     assert found == []
 
 
