@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -35,6 +36,29 @@ def build_aux_hypergraph(graph: ColoredMultigraph,
     edges = graph.edges
     hyperedges = [eid for eid, (u, v, _) in enumerate(edges) if u in keep and v in keep]
     return AuxHypergraph(graph, hyperedges, Counter([edges[eid][2] for eid in hyperedges]))
+
+
+def _survivors(h: AuxHypergraph, free: set[int], used_c: set[int]) -> list[int]:
+    """Hyperedges of h with both ends in free and a color not in used_c.
+
+    Walks the edges at each free vertex, ascending, and counts an edge from
+    its lower end, so the cost scales with the free vertices, not with h.
+    Membership in h is tested by bisecting h.hyperedges, so a hand-built h
+    holding only some of the edges among its vertices stays exact.
+    """
+    ids = h.hyperedges
+    edges = h.graph.edges
+    incident = h.graph.incident
+    alive = []
+    for x in sorted(free):
+        for e in incident[x]:
+            u, v, c = edges[e]
+            y = v if u == x else u
+            if y > x and y in free and c not in used_c:
+                i = bisect_left(ids, e)
+                if i < len(ids) and ids[i] == e:
+                    alive.append(e)
+    return alive
 
 
 def nibble_match(h: AuxHypergraph, seed: int = 0) -> list[int]:

@@ -1,6 +1,16 @@
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rainbowmatch.generators import gen_two_factorized
 from rainbowmatch.graph import ColoredMultigraph
 from rainbowmatch.solvers import build_aux_hypergraph, nibble_match
+from rainbowmatch.solvers.hypergraph import AuxHypergraph, _survivors
+from test_two_factor import _digon_instance
+
+_CIRCULANT = gen_two_factorized(6, "circulant", 3, 4)
 
 
 def test_empty_rest_gives_empty_hypergraph():
@@ -58,3 +68,44 @@ def test_nibble_leaves_few_colors_uncovered():
     for seed in range(20):
         covered = {g.edges[eid][2] for eid in nibble_match(h, seed=seed)}
         assert d - len(covered) <= d / 4
+
+
+@pytest.mark.parametrize("d, extra, seed", [(8, 10, 1), (20, 5, 0), (40, 20, 2)])
+def test_nibble_returns_a_maximal_matching(d, extra, seed):
+    """No hyperedge is disjoint in vertices and colours from the result."""
+    g = gen_two_factorized(d, "circulant", extra, 0)
+    rest = [v for v in range(g.n_vertices) if v % 5]
+    h = build_aux_hypergraph(g, rest)
+    matched = nibble_match(h, seed=seed)
+    used_v = {x for eid in matched for x in g.edges[eid][:2]}
+    used_c = {g.edges[eid][2] for eid in matched}
+    assert len(used_v) == 2 * len(matched) and len(used_c) == len(matched)
+    for eid in h.hyperedges:
+        x, y, c = g.edges[eid]
+        assert x in used_v or y in used_v or c in used_c
+
+
+def _hypergraph_vertices(h):
+    return {x for eid in h.hyperedges for x in h.graph.edges[eid][:2]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_free_vertex_survivors_match_a_filter_over_all_hyperedges(data):
+    """_survivors, walking only the free vertices, keeps exactly the
+    hyperedges a filter over all of h keeps: parallel edges (the digon
+    instance) and hand-built subsets of the hyperedges included."""
+    g = data.draw(st.sampled_from([_digon_instance(), _CIRCULANT]))
+    rest = data.draw(st.sets(st.integers(0, g.n_vertices - 1)))
+    h = build_aux_hypergraph(g, rest)
+    if data.draw(st.booleans()):  # a hand-built subset
+        keep = data.draw(st.lists(st.booleans(), min_size=len(h.hyperedges),
+                                  max_size=len(h.hyperedges)))
+        ids = [eid for eid, k in zip(h.hyperedges, keep) if k]
+        h = AuxHypergraph(g, ids, Counter(g.edges[eid][2] for eid in ids))
+    used_v = data.draw(st.sets(st.integers(0, g.n_vertices - 1)))
+    used_c = data.draw(st.sets(st.integers(0, g.n_colors - 1)))
+    free = _hypergraph_vertices(h) - used_v
+    expected = [eid for eid in h.hyperedges
+                if not ({*g.edges[eid][:2]} & used_v) and g.edges[eid][2] not in used_c]
+    assert sorted(_survivors(h, free, used_c)) == expected
