@@ -5,6 +5,14 @@ the id of a graph edge (x, y, c) whose endpoints both survive outside the
 sample; it covers the elements x, y and c.  When the color classes are
 2-factors and no vertex pair carries more than two edges (alspach_solve checks
 both once per instance), any two elements lie in at most two hyperedges.
+
+The nibble's rounds bite each surviving hyperedge independently with
+probability ROUND_FRACTION.  A round draws the geometric skips between its
+bites rather than one coin per hyperedge, and takes its bites in a shuffled
+order.  After the first round, whose bites already cover most vertices, the
+survivors are found from the edge lists of the free vertices, so the work
+past one C-level pass over the hyperedge ids scales with the bites and the
+free vertices, not with the number of hyperedges.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from ..graph import ColoredMultigraph
 from ..seeding import shuffle
 
 ROUND_FRACTION = 0.1  # share of the surviving hyperedges each nibble round samples
+_LOG_SPARE = math.log(1.0 - ROUND_FRACTION)
 
 
 @dataclass
@@ -38,72 +47,93 @@ def build_aux_hypergraph(graph: ColoredMultigraph,
     return AuxHypergraph(graph, hyperedges, Counter([edges[eid][2] for eid in hyperedges]))
 
 
-def _survivors(h: AuxHypergraph, free: set[int], used_c: set[int]) -> list[int]:
-    """Hyperedges of h with both ends in free and a color not in used_c.
+def _bite(rng: random.Random, pool: list[int]) -> list[int]:
+    """Each element of pool independently with probability ROUND_FRACTION,
+    in pool order.
 
-    Walks the edges at each free vertex, ascending, and counts an edge from
-    its lower end, so the cost scales with the free vertices, not with h.
-    Membership in h is tested by bisecting h.hyperedges, so a hand-built h
-    holding only some of the edges among its vertices stays exact.
+    The skip from one bite to the next is geometric, floor(ln U / ln(1 - q))
+    for U uniform on (0, 1], so one draw is made per bite, not per element.
+    """
+    log, draw, n = math.log, rng.random, len(pool)
+    bitten = []
+    i = -1
+    while True:
+        i += 1 + int(log(1.0 - draw()) / _LOG_SPARE)
+        if i >= n:
+            return bitten
+        bitten.append(pool[i])
+
+
+def _survivors(h: AuxHypergraph, free: set[int], used_c: set[int]) -> list[int]:
+    """Hyperedges of h with both ends in free and a color not in used_c,
+    ascending.
+
+    An edge with both ends free lies on the edge lists of two free vertices,
+    so intersecting those lists finds it and the cost scales with the free
+    vertices, not with h.  Membership in h is tested by bisecting
+    h.hyperedges, so a hand-built h holding only some of the edges among its
+    vertices stays exact.
     """
     ids = h.hyperedges
     edges = h.graph.edges
     incident = h.graph.incident
+    seen: set[int] = set()
+    both: set[int] = set()
+    for x in free:
+        both.update(seen.intersection(incident[x]))
+        seen.update(incident[x])
     alive = []
-    for x in sorted(free):
-        for e in incident[x]:
-            u, v, c = edges[e]
-            y = v if u == x else u
-            if y > x and y in free and c not in used_c:
-                i = bisect_left(ids, e)
-                if i < len(ids) and ids[i] == e:
-                    alive.append(e)
+    for e in sorted(both):
+        i = bisect_left(ids, e)
+        if edges[e][2] not in used_c and i < len(ids) and ids[i] == e:
+            alive.append(e)
     return alive
 
 
 def nibble_match(h: AuxHypergraph, seed: int = 0) -> list[int]:
     """Semi-random nibble: repeatedly bite a small random share of surviving
-    hyperedges, keep those still disjoint from the matching in priority order,
+    hyperedges, keep those still disjoint from the matching in a random order,
     remove covered elements, and finish with a greedy sweep.  Returns the
     matched hyperedges' graph edge ids, pairwise disjoint in vertices and colors.
 
     Runs ceil(ln(#elements covered)) rounds, counting distinct vertices and
-    colors over the hyperedges.
+    colors over the hyperedges.  Each round bites every survivor with
+    probability ROUND_FRACTION by geometric skips (_bite) and takes its bites
+    in a shuffled order; the final sweep takes what is still alive in a
+    shuffled order.  Round 0 bites all of h, and its survivors are found from
+    the free vertices (_survivors); later rounds filter their short survivor
+    list.
     """
     rng = random.Random(seed)
     ids = h.hyperedges
     if not ids:
         return []
     edges = h.graph.edges
-    triples = [edges[eid] for eid in ids]
-    n_elements = (len({x for x, _, _ in triples} | {y for _, y, _ in triples})
-                  + len(h.color_degree))
-    rounds = max(1, math.ceil(math.log(max(2, n_elements))))
-    # priority and alive share one set of index ints
-    alive = list(range(len(triples)))
-    priority = alive.copy()
-    shuffle(rng, priority)
+    members = set(ids)
+    vertices = {x for x, inc in enumerate(h.graph.incident)
+                if not members.isdisjoint(inc)}
+    rounds = max(1, math.ceil(math.log(max(2, len(vertices) + len(h.color_degree)))))
 
     matched: list[int] = []
     used_v: set[int] = set()
     used_c: set[int] = set()
 
-    def survives(idx: int) -> bool:
-        x, y, c = triples[idx]
-        return x not in used_v and y not in used_v and c not in used_c
-
-    def take_survivors(candidates: list[int]) -> None:
-        for idx in sorted(candidates, key=priority.__getitem__):
-            if survives(idx):
-                x, y, c = triples[idx]
-                matched.append(idx)
+    def take(candidates: list[int]) -> None:
+        shuffle(rng, candidates)
+        for eid in candidates:
+            x, y, c = edges[eid]
+            if x not in used_v and y not in used_v and c not in used_c:
+                matched.append(eid)
                 used_v.update((x, y))
                 used_c.add(c)
 
-    for _ in range(rounds):
+    take(_bite(rng, ids))
+    alive = _survivors(h, vertices - used_v, used_c)
+    for _ in range(rounds - 1):
         if not alive:
             break
-        take_survivors([i for i in alive if rng.random() < ROUND_FRACTION])
-        alive = [i for i in alive if survives(i)]
-    take_survivors(alive)  # final greedy sweep
-    return [ids[i] for i in matched]
+        take(_bite(rng, alive))
+        alive = [eid for eid, (x, y, c) in zip(alive, map(edges.__getitem__, alive))
+                 if x not in used_v and y not in used_v and c not in used_c]
+    take(alive)  # final greedy sweep
+    return matched

@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from rainbowmatch.generators import gen_two_factorized
 from rainbowmatch.graph import ColoredMultigraph
 from rainbowmatch.solvers import build_aux_hypergraph, nibble_match
-from rainbowmatch.solvers.hypergraph import AuxHypergraph, _survivors
+from rainbowmatch.solvers.hypergraph import (ROUND_FRACTION, AuxHypergraph, _bite,
+                                             _survivors)
 from test_two_factor import _digon_instance
 
 _CIRCULANT = gen_two_factorized(6, "circulant", 3, 4)
@@ -108,4 +111,23 @@ def test_free_vertex_survivors_match_a_filter_over_all_hyperedges(data):
     free = _hypergraph_vertices(h) - used_v
     expected = [eid for eid in h.hyperedges
                 if not ({*g.edges[eid][:2]} & used_v) and g.edges[eid][2] not in used_c]
-    assert sorted(_survivors(h, free, used_c)) == expected
+    assert _survivors(h, free, used_c) == expected
+
+
+def test_bite_takes_each_element_with_round_fraction():
+    """4,000 bites of a 100-element pool: the bitten share, and the share of
+    bites taking the first and the last element, lie within 4 sd of
+    ROUND_FRACTION, and each bite lists distinct elements in pool order."""
+    pool = list(range(100))
+    rng = random.Random(11)
+    bites = 4000
+    counts = Counter()
+    for _ in range(bites):
+        bitten = _bite(rng, pool)
+        assert all(a < b for a, b in zip(bitten, bitten[1:]))
+        counts.update(bitten)
+    q = ROUND_FRACTION
+    trials = bites * len(pool)
+    assert abs(sum(counts.values()) - q * trials) <= 4 * math.sqrt(q * (1 - q) * trials)
+    for end in (pool[0], pool[-1]):
+        assert abs(counts[end] - q * bites) <= 4 * math.sqrt(q * (1 - q) * bites)

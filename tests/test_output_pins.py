@@ -96,11 +96,12 @@ SOLVE_PINS = [
      "be3c298d746c3062d75b3d9b545f9f190b8f4653d9c214d11384688beec96dfd"),
     ("augment", ["latin_random", "--n", "9", "--seed", "11"],
      "fd02a5d27d848aae5888abda0777e675a3348c184e76acf699b65d0588bf6d85"),
-    # this and the first alspach case reach the repair augment
+    # reaches the repair augment
     ("sampling", ["ab_bipartite", "--n", "16", "--seed", "5"],
      "f7aa058164dc13d556a3546fcfd5ec32b82387ab99c3e202aba9a418df6fba48"),
+    # the nibble places all five colours
     ("alspach", ["circulant_two_factor", "--d", "5", "--seed", "3"],
-     "adfe0df84c4a8ec36c7bddae7776e0d0944694acf92708aaf4553e77186c3f4c"),
+     "293ef20ac9562903d53109017bfb411d3e15dfa254a5ca155a096439b868b382"),
     # 31 vertices >= 4d: alspach's greedy path
     ("alspach", ["circulant_two_factor", "--d", "5", "--extra", "20"],
      "0171cdc3fdef6b903476c0633a381b62979b2cdd4c0230df00188272347377cd"),

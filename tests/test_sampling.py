@@ -78,10 +78,10 @@ def test_default_p():
 @pytest.mark.parametrize("solve, digest", [
     # tight regime (16 < 4d) whose completion gets stuck, so repair runs
     (lambda: alspach_solve(gen_two_factorized(7, "symmetric_latin", 0, 0), seed=2),
-     "dc782aa8ec34b4ca5dfc5c1c8cf08bb00a7a9c619eee56c88ca4bbc2c73a7eb9"),
+     "626a942a347f591809726bf0f9e66992ae40e50e694d48a6fe4a94a56af8da30"),
     # tight circulant: 56 vertices against 4d = 80
     (lambda: alspach_solve(gen_two_factorized(20, "circulant", 15, 12), seed=12),
-     "f3aab31844cb4129d0f668764ca9ee3871256abc44400e26069588ff88bf417c"),
+     "013d78b0357ca99b4828d9fb4cdf75121986c4e6188b3a3a8c7e827e9e19e632"),
     # every one of the five attempts repairs
     (lambda: sampling_solve(gen_latin(32, "random", 0), 0.5, seed=0),
      "349a21f17affd824626b126f113559c3f767ca76eb7f4482cbb8660dee548138"),
