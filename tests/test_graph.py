@@ -208,6 +208,21 @@ def test_validate_matching_kind_flags_shared_vertex():
     assert (0, 1) in report.witnesses
 
 
+def test_validate_two_factor_lists_witnesses_by_colour_then_vertex():
+    # colour 0 is the 5-cycle, colour 1 a path, colour 2 a triangle plus a
+    # doubled edge, colour 3 the 5-cycle again
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    edges = [(u, v, 0) for u, v in cycle] + [(3, 2, 1), (1, 2, 1)]
+    edges += [(0, 1, 2), (1, 2, 2), (2, 0, 2), (3, 4, 2), (4, 3, 2)]
+    edges += [(u, v, 3) for u, v in cycle]
+    report = validate(ColoredMultigraph(5, 4, edges), ColorClassKind.TWO_FACTOR)
+    assert report.witnesses == [(1, 0), (1, 1), (1, 3), (1, 4)]
+    sides = [0, 1, 0, 1, 0]  # edges 4-0 and 2-0 join side 0 to itself
+    report = validate(ColoredMultigraph(5, 4, edges, sides), ColorClassKind.TWO_FACTOR)
+    assert report.witnesses == [(-1, 4), (-1, 2), (-1, 4), (1, 0), (1, 1), (1, 3),
+                                (1, 4)]
+
+
 def test_validate_clique_union_accepts_triangles():
     report = validate(small_graph(), ColorClassKind.CLIQUE_UNION)
     assert report.valid
