@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from ..graph import ColoredMultigraph, RainbowMatching
 from ..seeding import shuffle
+
+# edges per list when _scarcest_first copies colors: a 32 KB list; larger
+# lists fill the array no faster and hold more memory
+_COLOR_CHUNK = 4096
 
 
 def _greedy_pass(graph: ColoredMultigraph, order: list[int],
@@ -40,8 +45,12 @@ def _scarcest_first(graph: ColoredMultigraph, colors: Iterable[int],
     would run faster still, but it costs 8 bytes per edge.
     """
     remaining = sorted(set(colors))
-    col = array("H" if graph.n_colors <= 0xFFFF else "L",
-                map(itemgetter(2), graph.edges))
+    col = array("H" if graph.n_colors <= 0xFFFF else "L")
+    edge_colors = map(itemgetter(2), graph.edges)
+    # fromlist grows the array once per list; built from the iterator, the
+    # array would grow item by item
+    while chunk := list(islice(edge_colors, _COLOR_CHUNK)):
+        col.fromlist(chunk)
     dead = (1 << 8 * col.itemsize) - 1
     count = [len(lst) for lst in graph.color_edges]  # live edges per color
     incident = graph.incident
