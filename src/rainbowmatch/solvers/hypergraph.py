@@ -109,6 +109,7 @@ def nibble_match(h: AuxHypergraph, seed: int = 0) -> list[int]:
     if not ids:
         return []
     edges = h.graph.edges
+    # the vertices with an edge in h, each found by one C-level set test
     members = set(ids)
     vertices = {x for x, inc in enumerate(h.graph.incident)
                 if not members.isdisjoint(inc)}

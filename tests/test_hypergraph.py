@@ -88,10 +88,6 @@ def test_nibble_returns_a_maximal_matching(d, extra, seed):
         assert x in used_v or y in used_v or c in used_c
 
 
-def _hypergraph_vertices(h):
-    return {x for eid in h.hyperedges for x in h.graph.edges[eid][:2]}
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_free_vertex_survivors_match_a_filter_over_all_hyperedges(data):
@@ -108,7 +104,7 @@ def test_free_vertex_survivors_match_a_filter_over_all_hyperedges(data):
         h = AuxHypergraph(g, ids, Counter(g.edges[eid][2] for eid in ids))
     used_v = data.draw(st.sets(st.integers(0, g.n_vertices - 1)))
     used_c = data.draw(st.sets(st.integers(0, g.n_colors - 1)))
-    free = _hypergraph_vertices(h) - used_v
+    free = {x for eid in h.hyperedges for x in g.edges[eid][:2]} - used_v
     expected = [eid for eid in h.hyperedges
                 if not ({*g.edges[eid][:2]} & used_v) and g.edges[eid][2] not in used_c]
     assert _survivors(h, free, used_c) == expected
