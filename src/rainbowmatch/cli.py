@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -284,11 +285,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     handlers = {"generate": _cmd_generate, "solve": _cmd_solve,
                 "verify": _cmd_verify, "sweep": _cmd_sweep}
+    # A command leaves only a few dozen cyclic objects whatever its size, so
+    # the cyclic GC only rescans live data (json.loads' one list per edge) while
+    # it runs.  Pause it, then collect once: young objects always, and every
+    # generation when the GC's own gen-2 counter says a full pass is due, so an
+    # in-process caller's old cycles are still freed.  A caller that disabled
+    # the GC keeps it disabled and collection-free.
+    paused = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args, ["rainbowmatch"] + _base_names(list(argv), args))
     except (RainbowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if paused:
+            gc.enable()
+            gc.collect(2 if gc.get_count()[2] >= gc.get_threshold()[2] else 1)
 
 
 if __name__ == "__main__":

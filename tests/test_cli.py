@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowmatch import cli
 from rainbowmatch.cli import _ID_OPTIONS, SOLVERS, Solver, build_parser, main
 from rainbowmatch.generators import FAMILIES, gen_latin, gen_two_factorized
 from rainbowmatch.graph import ColorClassKind, RainbowMatching
@@ -511,30 +513,120 @@ def _choices(command, option):
                 if option in a.option_strings)
 
 
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the body with the cyclic GC enabled or disabled, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def _cyclic_garbage(argv):
     """Objects the cyclic GC frees after one main(argv), run with it disabled."""
+    cli._parser()  # built once per process, on the first call; not counted
     gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector(False):
         code, _ = _quiet_main(argv)
         assert code == 0
         return gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def test_main_reuses_its_parser(tmp_path):
-    inst = str(tmp_path / "latin.json")
-    generate = ["generate", "--family", "latin_random", "--n", "12", "--seed", "1",
-                "-o", inst]
-    _quiet_main(generate)  # the process's parser may be built here
-    assert _cyclic_garbage(generate) == 0
+    assert _cyclic_garbage(["generate", "--family", "latin_random", "--n", "12",
+                            "--seed", "1", "-o", str(tmp_path / "latin.json")]) == 0
+
+
+# main runs a command with the cyclic GC paused, which is safe only while no
+# command's cyclic garbage grows with its work.  Each size is a small one the
+# checker passes at.
+_SMALL_N = {"grinblat_weak": 9, "grinblat_strong": 16, "ab_bipartite_strong": 16,
+            "ab_general_strong": 16, "grinblat_multiplicity": 16, "alspach_strong": 5,
+            "multiplicity_lb": 5, "expander_full": 8, "edge_disjoint": 16,
+            "reduction_lift": 3}
+
+
+@pytest.mark.parametrize("theorem", [t for t in THEOREMS if THEOREMS[t].seeded])
+def test_verify_cycles_do_not_grow_with_trials(theorem):
+    one, three = (_cyclic_garbage(["verify", "--theorem", theorem,
+                                   "--n", str(_SMALL_N[theorem]), "--trials", str(k)])
+                  for k in (1, 3))
+    assert three <= one
+
+
+@pytest.mark.parametrize("family", list(PIPELINES))
+def test_sweep_cycles_do_not_grow_with_trials(family):
+    one, three = (_cyclic_garbage(["sweep", "--family", family, "--n", "16",
+                                   "--surplus", "0", "--trials", str(k)])
+                  for k in (1, 3))
+    assert three <= one
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_no_solver_leaves_more_cycles_than_greedy(tmp_path, solver):
     # a solve report's indent=2 encoder leaves a few cycles of its own; the
     # sampling solver, whose augment calls once left thousands, adds none
+    inst = str(tmp_path / "circulant.json")  # a kind every solver takes
+    assert _quiet_main(["generate", "--family", "circulant_two_factor", "--d", "10",
+                        "--extra", "6", "-o", inst])[0] == 0
     greedy = _cyclic_garbage(["solve", "--solver", "greedy", inst])
-    assert _cyclic_garbage(["solve", "--solver", "sampling", inst]) <= greedy
+    assert _cyclic_garbage(["solve", "--solver", solver, inst]) <= greedy
+
+
+def _raise(args, argv):
+    raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_the_caller_had_it(tmp_path, monkeypatch, enabled):
+    """However the command ends, main re-enables a collector it paused; a
+    disabled one stays disabled, and main runs no collection."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[0, 1, 0]]")
+    monkeypatch.setattr(cli, "_cmd_verify", _raise)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        with _collector(enabled):
+            for argv, code in (
+                    (["generate", "--family", "two_k4", "-o", str(tmp_path / "k4.json")], 0),
+                    (["solve", "--solver", "greedy", str(bad)], 2)):
+                assert _quiet_main(argv)[0] == code
+                assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="handler failed"):
+                _quiet_main(["verify", "--theorem", "two_k4_lb"])
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+    if not enabled:
+        assert collections == []
+
+
+def test_main_frees_an_old_cycle_within_one_full_collection_period(tmp_path):
+    """An in-process caller's oldest generation is still collected: main's
+    closing collection is a full one once every gc.get_threshold()[2] calls."""
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    freed = weakref.ref(node)
+    argv = ["generate", "--family", "two_k4", "-o", str(tmp_path / "k4.json")]
+    with _collector(True):
+        gc.collect()  # the live cycle moves to the oldest generation
+        del node
+        for _ in range(gc.get_threshold()[2] + 1):
+            assert _quiet_main(argv)[0] == 0
+            if freed() is None:
+                break
+        assert freed() is None
 
 
 def test_each_id_option_takes_its_choices_from_one_table():

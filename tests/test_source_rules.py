@@ -27,13 +27,22 @@ def _absolute_imports(path):
             yield node.lineno, node.module.split(".")[0]
 
 
+def _imported_outside_cli(modules):
+    """(file:line) of each import of one of `modules` outside cli.py."""
+    return [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
+            if path.relative_to(SRC) != Path("cli.py")
+            for line, mod in _absolute_imports(path) if mod in modules]
+
+
 def test_verdicts_read_no_clock():
     """Solvers and checkers decide from their inputs, never the time: only the
     command line, which reports a solve's wall time, imports a clock."""
-    found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
-             if path.relative_to(SRC) != Path("cli.py")
-             for line, mod in _absolute_imports(path) if mod in ("time", "datetime")]
-    assert found == []
+    assert _imported_outside_cli(("time", "datetime")) == []
+
+
+def test_only_the_command_line_sets_the_collector():
+    """The cyclic GC's policy lives in `cli.main`: no solver or loader imports gc."""
+    assert _imported_outside_cli(("gc",)) == []
 
 
 def test_imports_are_stdlib_only():
