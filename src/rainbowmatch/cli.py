@@ -285,12 +285,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     handlers = {"generate": _cmd_generate, "solve": _cmd_solve,
                 "verify": _cmd_verify, "sweep": _cmd_sweep}
-    # A command leaves only a few dozen cyclic objects whatever its size, so
-    # the cyclic GC only rescans live data (json.loads' one list per edge) while
-    # it runs.  Pause it, then collect once: young objects always, and every
-    # generation when the GC's own gen-2 counter says a full pass is due, so an
-    # in-process caller's old cycles are still freed.  A caller that disabled
-    # the GC keeps it disabled and collection-free.
+    # No command leaves cyclic garbage that grows with its work, so while one
+    # runs the cyclic GC would only rescan live data, such as the list per edge
+    # that json.loads builds.  Pause it, then collect once: the young
+    # generations always, and all of them when the GC's own gen-2 counter says
+    # a full pass is due, so an in-process caller's old cycles are still freed.
     paused = gc.isenabled()
     gc.disable()
     try:
